@@ -10,18 +10,12 @@ asymptote), and an independent Monte Carlo simulator used to validate both.
 __version__ = "0.1.0"
 
 from .analysis import (
-    OUTAGE_METHODS,
-    AsymptoticModel,
     OutageProbability,
-    OutageQuery,
-    RateProbePoint,
-    asymptotic_model,
     asymptotic_outage,
     coding_gain,
     diversity_order,
     exact_outage,
     outage_threshold,
-    rate_monotonicity_probe,
 )
 from .errors import (
     ConvergenceError,
@@ -32,7 +26,6 @@ from .errors import (
 from .keyhole import (
     ChannelDraw,
     SystemConfig,
-    accumulated_information,
     mutual_information_round,
     sample_channel,
 )
@@ -44,34 +37,25 @@ from .montecarlo import (
 )
 from .specfun import (
     PrecisionPolicy,
-    bessel_k,
     bessel_k_scaled,
     gain_pdf,
     integrate_adaptive,
-    ln_gamma,
     meijer_g_cdf,
     meijer_g_log_cdf,
 )
 
 __all__ = [
     "__version__",
-    "AsymptoticModel",
     "ChannelDraw",
     "ConvergenceError",
     "DomainError",
-    "OUTAGE_METHODS",
     "OutageProbability",
-    "OutageQuery",
     "PrecisionPolicy",
-    "RateProbePoint",
     "SimulationInfeasibleError",
     "SimulationResult",
     "SystemConfig",
     "UnsupportedConfigError",
-    "accumulated_information",
-    "asymptotic_model",
     "asymptotic_outage",
-    "bessel_k",
     "bessel_k_scaled",
     "coding_gain",
     "diversity_order",
@@ -79,12 +63,10 @@ __all__ = [
     "exact_outage",
     "gain_pdf",
     "integrate_adaptive",
-    "ln_gamma",
     "meijer_g_cdf",
     "meijer_g_log_cdf",
     "mutual_information_round",
     "outage_threshold",
-    "rate_monotonicity_probe",
     "sample_channel",
     "sample_round_gains",
     "simulate_outage",

@@ -17,26 +17,19 @@ routine operating points and would underflow a linear carrier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedConfigError
 from .keyhole import SystemConfig
-from .specfun import ln_gamma, meijer_g_log_cdf
+from .specfun import meijer_g_log_cdf
 
 __all__ = [
     "OutageProbability",
-    "AsymptoticModel",
-    "RateProbePoint",
-    "OutageQuery",
-    "OUTAGE_METHODS",
     "outage_threshold",
     "exact_outage",
     "asymptotic_outage",
     "diversity_order",
     "coding_gain",
-    "asymptotic_model",
-    "rate_monotonicity_probe",
 ]
 
 
@@ -54,55 +47,6 @@ class OutageProbability:
     @classmethod
     def from_log(cls, log_value: float) -> "OutageProbability":
         return cls(log_value=log_value, value=math.exp(log_value))
-
-
-@dataclass(frozen=True)
-class AsymptoticModel:
-    """Shape of the high-SNR law P ~ (C gamma)^(-d) (ln gamma)^e.
-
-    ``coding_gain`` is only defined for square arrays (n_t == n_r) and is
-    None otherwise; ``log_exponent`` is the power of ln(gamma), nonzero
-    exactly when n_t == n_r.
-    """
-
-    diversity_order: int
-    log_exponent: int
-    coding_gain: Optional[float]
-
-
-@dataclass(frozen=True)
-class RateProbePoint:
-    """Asymptotic outage at one rate with forward finite differences.
-
-    ``first_difference`` is None at the last grid point and
-    ``second_difference`` at the last two.
-    """
-
-    rate: float
-    probability: float
-    first_difference: Optional[float]
-    second_difference: Optional[float]
-
-
-OUTAGE_METHODS = ("exact", "asymptotic", "simulation")
-
-
-@dataclass(frozen=True)
-class OutageQuery:
-    """An operating point paired with the evaluation route to use for it.
-
-    Plumbing for callers that batch heterogeneous requests; ``method`` is a
-    closed enumeration (``OUTAGE_METHODS``), anything else is rejected.
-    """
-
-    config: SystemConfig
-    method: str
-
-    def __post_init__(self) -> None:
-        if self.method not in OUTAGE_METHODS:
-            raise ValueError(
-                f"method must be one of {OUTAGE_METHODS}, got {self.method!r}"
-            )
 
 
 def outage_threshold(config: SystemConfig, round_index: int) -> float:
@@ -157,13 +101,13 @@ def asymptotic_outage(config: SystemConfig) -> OutageProbability:
                 config.n_t * math.log(t)
                 + math.log(math.log(config.snr_per_round[k - 1]))
                 - math.log(config.n_t)
-                - 2.0 * ln_gamma(config.n_t)
+                - 2.0 * math.lgamma(config.n_t)
             )
         else:
             log_p += (
-                ln_gamma(tau)
-                - ln_gamma(config.n_t)
-                - ln_gamma(config.n_r)
+                math.lgamma(tau)
+                - math.lgamma(config.n_t)
+                - math.lgamma(config.n_r)
                 + m * math.log(t)
                 - math.log(m)
             )
@@ -192,53 +136,5 @@ def coding_gain(config: SystemConfig) -> float:
         raise DomainError("coding gain is undefined at rate 0")
     n = config.n_t
     return math.exp(
-        (math.log(n) + 2.0 * ln_gamma(n)) / n
+        (math.log(n) + 2.0 * math.lgamma(n)) / n
     ) / (n * (2.0 ** config.rate - 1.0))
-
-
-def asymptotic_model(config: SystemConfig) -> AsymptoticModel:
-    """Parameters of the generalized high-SNR model at equal per-round SNR."""
-    snrs = set(config.snr_per_round)
-    if len(snrs) != 1:
-        raise UnsupportedConfigError(
-            "the generalized asymptotic model assumes equal per-round SNRs; "
-            f"got {config.snr_per_round}"
-        )
-    square = config.n_t == config.n_r
-    return AsymptoticModel(
-        diversity_order=diversity_order(config),
-        log_exponent=config.k_rounds if square else 0,
-        coding_gain=coding_gain(config) if square else None,
-    )
-
-
-def rate_monotonicity_probe(
-    config: SystemConfig, rate_grid: Sequence[float]
-) -> list:
-    """Asymptotic outage across a rate grid with forward differences.
-
-    The second differences are the caller's convexity evidence; they are
-    reported rather than asserted because the convexity of the asymptote in
-    R is an observed property, not something this module proves.
-    """
-    rates = [float(r) for r in rate_grid]
-    if len(rates) < 2:
-        raise ValueError("rate_grid needs at least two points")
-    for a, b in zip(rates, rates[1:]):
-        if not b > a:
-            raise ValueError("rate_grid must be strictly increasing")
-    if rates[0] <= 0.0:
-        raise ValueError("rates must be > 0")
-    probs = [
-        asymptotic_outage(replace(config, rate=r)).value for r in rates
-    ]
-    n = len(rates)
-    points = []
-    for i, (r, p) in enumerate(zip(rates, probs)):
-        d1 = probs[i + 1] - p if i + 1 < n else None
-        d2 = probs[i + 2] - 2.0 * probs[i + 1] + p if i + 2 < n else None
-        points.append(
-            RateProbePoint(rate=r, probability=p, first_difference=d1,
-                           second_difference=d2)
-        )
-    return points

@@ -6,7 +6,7 @@ Curve commands emit CSV with the fixed header
 significant digits, empty cells where a column does not apply) and, with
 --json, a JSON mirror carrying run metadata. dB inputs are converted to
 linear SNR once, at parse time. Exit codes: 0 success, 2 usage or validation
-error, 3 numerical non-convergence.
+error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .analysis import (
     diversity_order,
     exact_outage,
 )
-from .errors import ConvergenceError, DomainError, UnsupportedConfigError
+from .errors import DomainError, UnsupportedConfigError
 from .keyhole import SystemConfig
 from .montecarlo import empirical_diversity_slope, simulate_outage
 
@@ -394,9 +394,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (DomainError, UnsupportedConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "ChannelDraw",
     "sample_channel",
     "mutual_information_round",
-    "accumulated_information",
 ]
 
 _LN2 = math.log(2.0)
@@ -123,20 +121,3 @@ def mutual_information_round(x_gain: float, snr: float, n_t: int) -> float:
         raise ValueError(f"snr must be finite and > 0, got {snr}")
     return math.log1p(snr * x_gain / n_t) / _LN2
 
-
-def accumulated_information(
-    draws: Sequence[ChannelDraw], config: SystemConfig
-) -> float:
-    """Information after all rounds: the best single round.
-
-    Type-I HARQ discards failed rounds rather than combining them, so the
-    accumulated information is the max, not the sum, of the per-round terms.
-    """
-    if len(draws) != config.k_rounds:
-        raise ValueError(
-            f"need {config.k_rounds} draws, got {len(draws)}"
-        )
-    return max(
-        mutual_information_round(d.x_gain, g, config.n_t)
-        for d, g in zip(draws, config.snr_per_round)
-    )

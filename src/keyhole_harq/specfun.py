@@ -2,13 +2,11 @@
 
 Everything here is plain float64 arithmetic with explicit accuracy targets:
 
-* ``ln_gamma``: log-gamma with domain checking (relative error of its exp
-  below 1e-13 for arguments in [1, 200]).
-* ``bessel_k`` / ``bessel_k_scaled``: modified Bessel function of the second
-  kind for integer orders, relative error <= 1e-12 for x in [1e-8, 30] and
-  orders up to 16. Orders 0 and 1 come from an ascending series (x <= 2) or
-  Chebyshev fits of sqrt(x) e^x K_nu(x) (x > 2); higher orders use the upward
-  recurrence, which is stable for this function.
+* ``bessel_k_scaled``: exponentially scaled modified Bessel function of the
+  second kind for integer orders, relative error <= 1e-12 for x in
+  [1e-8, 30] and orders up to 16. Orders 0 and 1 come from an ascending
+  series (x <= 2) or Chebyshev fits of sqrt(x) e^x K_nu(x) (x > 2); higher
+  orders use the upward recurrence, which is stable for this function.
 * ``integrate_adaptive``: globally adaptive Gauss-Legendre 7/15 integration.
   Panels are open (no endpoint evaluation), so integrable endpoint
   singularities such as the logarithmic one in ``gain_pdf`` for equal antenna
@@ -36,8 +34,6 @@ EULER = 0.5772156649015328606
 
 __all__ = [
     "PrecisionPolicy",
-    "ln_gamma",
-    "bessel_k",
     "bessel_k_scaled",
     "integrate_adaptive",
     "gain_pdf",
@@ -70,14 +66,6 @@ class PrecisionPolicy:
             raise DomainError(
                 f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
             )
-
-
-def ln_gamma(a: float) -> float:
-    """Natural log of the gamma function for a > 0."""
-    a = float(a)
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"ln_gamma requires a finite argument > 0, got {a}")
-    return math.lgamma(a)
 
 
 # Chebyshev coefficients of sqrt(x) e^x K_nu(x) in s = 4/x - 1, x in [2, inf).
@@ -144,7 +132,12 @@ def _k01_small(x: float) -> tuple:
     return k0, k1
 
 
-def _validate_bessel_args(order, x: float) -> tuple:
+def bessel_k_scaled(order, x: float) -> float:
+    """e^x K_order(x) for integer order >= 0 and x > 0.
+
+    The scaled form stays O(1/sqrt(x)) for large x and is finite throughout
+    x <= 700, where the unscaled value has long since underflowed.
+    """
     try:
         order = operator.index(order)
     except TypeError:
@@ -154,16 +147,6 @@ def _validate_bessel_args(order, x: float) -> tuple:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"argument must be finite and > 0, got {x}")
-    return order, x
-
-
-def bessel_k_scaled(order, x: float) -> float:
-    """e^x K_order(x) for integer order >= 0 and x > 0.
-
-    The scaled form stays O(1/sqrt(x)) for large x and is finite throughout
-    x <= 700, where the unscaled value has long since underflowed.
-    """
-    order, x = _validate_bessel_args(order, x)
     if x <= 2.0:
         k0, k1 = _k01_small(x)
         e = math.exp(x)
@@ -182,15 +165,6 @@ def bessel_k_scaled(order, x: float) -> float:
     for nu in range(1, order):
         km, kc = kc, km + (2.0 * nu / x) * kc
     return kc
-
-
-def bessel_k(order, x: float) -> float:
-    """K_order(x) for integer order >= 0 and x > 0.
-
-    May underflow to 0.0 for large x; use ``bessel_k_scaled`` there.
-    """
-    order, x = _validate_bessel_args(order, x)
-    return bessel_k_scaled(order, x) * math.exp(-x)
 
 
 # Gauss-Legendre panels. Both rules are open, so f is never evaluated at the
@@ -296,9 +270,12 @@ def gain_pdf(n_t, n_r, x: float) -> float:
             return 0.0
         if tau == 0:
             return math.inf
-        return math.exp(ln_gamma(tau) - ln_gamma(n_t) - ln_gamma(n_r))
+        return math.exp(math.lgamma(tau) - math.lgamma(n_t) - math.lgamma(n_r))
     r = 2.0 * math.sqrt(x)
-    lg = (0.5 * (n_t + n_r) - 1.0) * math.log(x) - r - ln_gamma(n_t) - ln_gamma(n_r)
+    lg = (
+        (0.5 * (n_t + n_r) - 1.0) * math.log(x) - r
+        - math.lgamma(n_t) - math.lgamma(n_r)
+    )
     return 2.0 * math.exp(lg) * bessel_k_scaled(tau, r)
 
 
@@ -415,17 +392,7 @@ def meijer_g_cdf(n_t, n_r, x: float) -> float:
     Equals the Meijer-G form G^{2,1}_{1,3}(x | 1; n_t, n_r, 0) normalized by
     Gamma(n_t) Gamma(n_r), which for integer shapes reduces to
     1 - (2/Gamma(n_t)) sum_{m<n_r} x^{(n_t+m)/2} K_{n_t-m}(2 sqrt x) / m!.
-    The result is exactly symmetric in (n_t, n_r): arguments are put in
-    canonical order before evaluation.
+    The linear view of ``meijer_g_log_cdf``, so it shares that function's
+    validation, branch choice and exact symmetry in (n_t, n_r).
     """
-    n_t, n_r = _validate_shapes(n_t, n_r)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if n_r > n_t:
-        n_t, n_r = n_r, n_t
-    if _use_ascending(n_t, n_r, x):
-        return math.exp(_cdf_ascending(n_t, n_r, x))
-    return max(1.0 - _survival(n_t, n_r, x), 0.0)
+    return math.exp(meijer_g_log_cdf(n_t, n_r, x))

@@ -1,7 +1,6 @@
 """Tests for the closed-form outage machinery: thresholds, the exact
 product form, the high-SNR asymptote, diversity order and coding gain."""
 
-import dataclasses
 import math
 
 import pytest
@@ -9,15 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyhole_harq.analysis import (
-    OUTAGE_METHODS,
-    OutageQuery,
-    asymptotic_model,
     asymptotic_outage,
     coding_gain,
     diversity_order,
     exact_outage,
     outage_threshold,
-    rate_monotonicity_probe,
 )
 from keyhole_harq.errors import DomainError, UnsupportedConfigError
 from keyhole_harq.keyhole import SystemConfig
@@ -200,81 +195,21 @@ class TestDiversityAndCodingGain:
         assert got == pytest.approx(want, rel=1e-10)
 
 
-class TestAsymptoticModel:
-    def test_square(self):
-        m = asymptotic_model(SystemConfig.equal_snr(2, 2, 3, 3.0, 10.0))
-        assert m.diversity_order == 6
-        assert m.log_exponent == 3
-        assert rel_err(m.coding_gain, SQRT2_OVER_14) < 1e-12
-
-    def test_rectangular(self):
-        m = asymptotic_model(SystemConfig.equal_snr(2, 3, 2, 3.0, 10.0))
-        assert m.diversity_order == 4
-        assert m.log_exponent == 0
-        assert m.coding_gain is None
-
-    def test_unequal_snrs_rejected(self):
-        config = SystemConfig(2, 2, 2, 3.0, (5.0, 6.0))
-        with pytest.raises(UnsupportedConfigError):
-            asymptotic_model(config)
-
-
 class TestRateProbe:
-    def test_difference_bookkeeping(self):
-        config = SystemConfig.equal_snr(2, 3, 1, 1.0, 1000.0)
-        pts = rate_monotonicity_probe(config, [1.0, 2.0, 3.0, 4.0])
-        assert [p.rate for p in pts] == [1.0, 2.0, 3.0, 4.0]
-        probs = [p.probability for p in pts]
-        assert pts[0].first_difference == pytest.approx(probs[1] - probs[0])
-        assert pts[0].second_difference == pytest.approx(
-            probs[2] - 2.0 * probs[1] + probs[0]
-        )
-        assert pts[-1].first_difference is None
-        assert pts[-1].second_difference is None
-        assert pts[-2].first_difference is not None
-        assert pts[-2].second_difference is None
-
     def test_increasing_and_convex_at_high_snr(self):
-        config = SystemConfig.equal_snr(2, 2, 3, 1.0, 1000.0)
-        pts = rate_monotonicity_probe(
-            config, [0.5 + 0.25 * i for i in range(31)]
-        )
+        # the asymptote at 30 dB over R in [0.5, 8]: forward first
+        # differences positive, second differences non-negative
+        probs = [
+            asymptotic_outage(
+                SystemConfig.equal_snr(2, 2, 3, 0.5 + 0.25 * i, 1000.0)
+            ).value
+            for i in range(31)
+        ]
+        assert all(b - a > 0.0 for a, b in zip(probs, probs[1:]))
         assert all(
-            p.first_difference > 0.0 for p in pts if p.first_difference is not None
+            probs[i + 2] - 2.0 * probs[i + 1] + probs[i] >= 0.0
+            for i in range(len(probs) - 2)
         )
-        assert all(
-            p.second_difference >= 0.0
-            for p in pts
-            if p.second_difference is not None
-        )
-
-    def test_grid_validation(self):
-        config = SystemConfig.equal_snr(2, 2, 1, 1.0, 100.0)
-        with pytest.raises(ValueError):
-            rate_monotonicity_probe(config, [1.0])
-        with pytest.raises(ValueError):
-            rate_monotonicity_probe(config, [2.0, 1.0])
-        with pytest.raises(ValueError):
-            rate_monotonicity_probe(config, [0.0, 1.0])
-
-
-class TestOutageQuery:
-    def test_accepts_each_method(self):
-        config = SystemConfig.equal_snr(2, 2, 1, 1.0, 10.0)
-        for method in OUTAGE_METHODS:
-            query = OutageQuery(config, method)
-            assert query.method == method
-            assert query.config is config
-
-    def test_rejects_unknown_method(self):
-        config = SystemConfig.equal_snr(2, 2, 1, 1.0, 10.0)
-        with pytest.raises(ValueError, match="method"):
-            OutageQuery(config, "quadrature")
-
-    def test_frozen(self):
-        query = OutageQuery(SystemConfig.equal_snr(1, 1, 1, 1.0, 2.0), "exact")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            query.method = "simulation"
 
 
 class TestShapeSwap:

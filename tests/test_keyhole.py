@@ -1,15 +1,15 @@
 """Channel model tests: configuration validation, rank-one structure,
-distributional checks of the sampled gain, and HARQ accumulation semantics."""
+distributional checks of the sampled gain, and the per-round mutual
+information behind the outage threshold."""
 
 import math
 
 import numpy as np
 import pytest
 
+from keyhole_harq.analysis import outage_threshold
 from keyhole_harq.keyhole import (
-    ChannelDraw,
     SystemConfig,
-    accumulated_information,
     mutual_information_round,
     sample_channel,
 )
@@ -142,6 +142,22 @@ class TestMutualInformation:
             got = mutual_information_round(d.x_gain, snr, n_t)
             assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("config", [
+        SystemConfig(2, 2, 3, 3.0, (3.1, 10.0, 47.0)),
+        SystemConfig(2, 5, 2, 0.75, (0.7, 12.5)),
+        SystemConfig(4, 1, 2, 5.0, (20.0, 300.0)),
+    ])
+    def test_threshold_is_where_round_reaches_rate(self, config):
+        # exact_outage and the simulator's gain < threshold test both rest
+        # on I_k(x) < R  <=>  x < outage_threshold(config, k)
+        for k, snr in enumerate(config.snr_per_round, start=1):
+            t = outage_threshold(config, k)
+            at = mutual_information_round(t, snr, config.n_t)
+            assert abs(at - config.rate) <= 1e-12 * config.rate
+            below = mutual_information_round(t * (1.0 - 1e-9), snr, config.n_t)
+            above = mutual_information_round(t * (1.0 + 1e-9), snr, config.n_t)
+            assert below < config.rate < above
+
     def test_zero_gain(self):
         assert mutual_information_round(0.0, 5.0, 2) == 0.0
 
@@ -155,32 +171,3 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information_round(math.nan, 5.0, 2)
 
-
-def _draw(gain: float) -> ChannelDraw:
-    return ChannelDraw(u=np.zeros(1, dtype=complex), v=np.zeros(1, dtype=complex),
-                       x_gain=gain)
-
-
-class TestAccumulatedInformation:
-    def test_best_round_wins(self):
-        # round 2 has the lower gain but the higher SNR; the decoder keeps
-        # whichever single round carries the most information
-        config = SystemConfig(2, 2, 2, 1.0, (1.0, 30.0))
-        draws = [_draw(3.0), _draw(1.0)]
-        per_round = [
-            mutual_information_round(3.0, 1.0, 2),
-            mutual_information_round(1.0, 30.0, 2),
-        ]
-        got = accumulated_information(draws, config)
-        assert got == max(per_round)
-        assert got == per_round[1]
-
-    def test_single_round(self):
-        config = SystemConfig(1, 1, 1, 1.0, (2.0,))
-        assert accumulated_information([_draw(0.5)], config) == \
-            mutual_information_round(0.5, 2.0, 1)
-
-    def test_length_mismatch(self):
-        config = SystemConfig(1, 1, 2, 1.0, (2.0, 2.0))
-        with pytest.raises(ValueError):
-            accumulated_information([_draw(0.5)], config)
