@@ -93,12 +93,21 @@ class TestBesselK:
         x2=st.floats(min_value=1e-6, max_value=30.0),
     )
     def test_scaled_decreasing_in_x(self, order, x1, x2):
-        # e^x K_nu(x) is strictly decreasing (Turan inequality), so the
-        # implementation must preserve the ordering of any argument pair.
+        # e^x K_nu(x) is strictly decreasing (Turan inequality), with
+        # -x d/dx ln(e^x K_nu(x)) >= 0.07 over orders 0..10 and x in
+        # [1e-6, 30] (smallest for order 0 at x = 1e-6). Arguments more than
+        # 1e-10 apart in relative terms therefore have exact values more
+        # than 7e-12 apart, beyond twice the kernel's 1e-12 accuracy, and
+        # their order must be kept. Closer pairs, down to adjacent floats,
+        # may tie or swap by rounding, but only within that accuracy.
         if x1 == x2:
             return
         lo, hi = min(x1, x2), max(x1, x2)
-        assert bessel_k_scaled(order, lo) > bessel_k_scaled(order, hi)
+        at_lo, at_hi = bessel_k_scaled(order, lo), bessel_k_scaled(order, hi)
+        if hi > lo * (1.0 + 1e-10):
+            assert at_lo > at_hi
+        else:
+            assert at_hi - at_lo < 2e-12 * at_lo
 
     @settings(max_examples=200, deadline=None)
     @given(
