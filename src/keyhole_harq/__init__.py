@@ -18,7 +18,6 @@ from .analysis import (
     outage_threshold,
 )
 from .errors import (
-    ConvergenceError,
     DomainError,
     SimulationInfeasibleError,
     UnsupportedConfigError,
@@ -36,10 +35,8 @@ from .montecarlo import (
     simulate_outage,
 )
 from .specfun import (
-    PrecisionPolicy,
     bessel_k_scaled,
     gain_pdf,
-    integrate_adaptive,
     meijer_g_cdf,
     meijer_g_log_cdf,
 )
@@ -47,10 +44,8 @@ from .specfun import (
 __all__ = [
     "__version__",
     "ChannelDraw",
-    "ConvergenceError",
     "DomainError",
     "OutageProbability",
-    "PrecisionPolicy",
     "SimulationInfeasibleError",
     "SimulationResult",
     "SystemConfig",
@@ -62,7 +57,6 @@ __all__ = [
     "empirical_diversity_slope",
     "exact_outage",
     "gain_pdf",
-    "integrate_adaptive",
     "meijer_g_cdf",
     "meijer_g_log_cdf",
     "mutual_information_round",

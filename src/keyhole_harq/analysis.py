@@ -46,7 +46,12 @@ class OutageProbability:
 
     @classmethod
     def from_log(cls, log_value: float) -> "OutageProbability":
-        return cls(log_value=log_value, value=math.exp(log_value))
+        try:
+            return cls(log_value=log_value, value=math.exp(log_value))
+        except OverflowError:
+            raise DomainError(
+                f"probability exp({log_value!r}) overflows float64"
+            ) from None
 
 
 def outage_threshold(config: SystemConfig, round_index: int) -> float:
@@ -56,7 +61,13 @@ def outage_threshold(config: SystemConfig, round_index: int) -> float:
             f"round_index must be in 1..{config.k_rounds}, got {round_index}"
         )
     snr = config.snr_per_round[round_index - 1]
-    return config.n_t * (2.0 ** config.rate - 1.0) / snr
+    try:
+        return config.n_t * (2.0 ** config.rate - 1.0) / snr
+    except OverflowError:
+        raise DomainError(
+            f"outage threshold n_t (2^R - 1) / snr overflows float64 at "
+            f"rate {config.rate!r}"
+        ) from None
 
 
 def exact_outage(config: SystemConfig) -> OutageProbability:

@@ -28,7 +28,7 @@ from .analysis import (
     diversity_order,
     exact_outage,
 )
-from .errors import DomainError, UnsupportedConfigError
+from .errors import DomainError
 from .keyhole import SystemConfig
 from .montecarlo import empirical_diversity_slope, simulate_outage
 
@@ -136,13 +136,9 @@ def write_curve_json(path, curve: CurveResult, metadata: dict) -> None:
                          tool_version=__version__),
         "points": [asdict(p) for p in curve.points],
     }
-    if path is None:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _config_metadata(config: SystemConfig) -> dict:
@@ -394,7 +390,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, UnsupportedConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

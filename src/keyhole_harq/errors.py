@@ -9,19 +9,6 @@ class UnsupportedConfigError(ValueError):
     """The requested quantity is not defined for this antenna configuration."""
 
 
-class ConvergenceError(RuntimeError):
-    """Adaptive integration ran out of subdivisions before reaching tolerance.
-
-    Carries the best estimate so callers can still inspect how far the
-    integrator got.
-    """
-
-    def __init__(self, message: str, best_estimate: float, error_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
-
-
 class SimulationInfeasibleError(ValueError):
     """The requested simulation cannot resolve the target probability.
 

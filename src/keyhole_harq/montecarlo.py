@@ -132,16 +132,13 @@ def simulate_outage(
         c = base + (1 if lane < rem else 0)
         ranges.append((start, c))
         start += c
-    if lanes == 1:
-        failures = _count_failures(config, thresholds, 0, trials, seed)
-    else:
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            failures = sum(
-                pool.map(
-                    lambda r: _count_failures(config, thresholds, r[0], r[1], seed),
-                    ranges,
-                )
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
+        failures = sum(
+            pool.map(
+                lambda r: _count_failures(config, thresholds, r[0], r[1], seed),
+                ranges,
             )
+        )
     p = failures / trials
     ci = 3.0 * math.sqrt(p * (1.0 - p) / trials)
     return SimulationResult(

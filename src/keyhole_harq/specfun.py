@@ -1,71 +1,40 @@
 """Scalar special-function kernel used by the outage calculators.
 
-Everything here is plain float64 arithmetic with explicit accuracy targets:
+Everything here is plain float64 arithmetic on the standard library's
+``math`` module, with explicit accuracy targets:
 
 * ``bessel_k_scaled``: exponentially scaled modified Bessel function of the
   second kind for integer orders, relative error <= 1e-12 for x in
   [1e-8, 30] and orders up to 16. Orders 0 and 1 come from an ascending
   series (x <= 2) or Chebyshev fits of sqrt(x) e^x K_nu(x) (x > 2); higher
   orders use the upward recurrence, which is stable for this function.
-* ``integrate_adaptive``: globally adaptive Gauss-Legendre 7/15 integration.
-  Panels are open (no endpoint evaluation), so integrable endpoint
-  singularities such as the logarithmic one in ``gain_pdf`` for equal antenna
-  counts are handled by plain bisection refinement.
 * ``gain_pdf`` / ``meijer_g_cdf``: density and distribution function of the
   product of two unit-scale Erlang variables with integer shapes. The CDF is
   a Meijer-G function that reduces, for integer shapes, to a finite Bessel-K
   survival series; an ascending power series around zero takes over where
-  1 - S(x) would cancel.
+  1 - S(x) would cancel. Where neither series can be evaluated in float64
+  (an overflowing term, or cancellation that leaves no valid logarithm),
+  ``meijer_g_log_cdf`` raises ``DomainError`` instead of returning NaN.
+
+The density is not integrated here: the tests check the CDF against an
+mpmath quadrature of ``gain_pdf``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable
 
-import numpy as np
-
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 EULER = 0.5772156649015328606
 
 __all__ = [
-    "PrecisionPolicy",
     "bessel_k_scaled",
-    "integrate_adaptive",
     "gain_pdf",
     "meijer_g_cdf",
     "meijer_g_log_cdf",
 ]
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Accuracy contract for adaptive integration.
-
-    ``rel_tol`` is the primary knob; ``abs_tol`` is a dimensionless absolute
-    floor for integrals that are legitimately zero. The integrator stops once
-    its error estimate drops below max(abs_tol, rel_tol * |integral|), and
-    raises ``ConvergenceError`` if ``max_subdivisions`` bisections were not
-    enough.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 0.0
-    max_subdivisions: int = 256
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not (self.abs_tol >= 0.0):
-            raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
 
 
 # Chebyshev coefficients of sqrt(x) e^x K_nu(x) in s = 4/x - 1, x in [2, inf).
@@ -165,78 +134,6 @@ def bessel_k_scaled(order, x: float) -> float:
     for nu in range(1, order):
         km, kc = kc, km + (2.0 * nu / x) * kc
     return kc
-
-
-# Gauss-Legendre panels. Both rules are open, so f is never evaluated at the
-# panel endpoints; integrable endpoint singularities only cost subdivisions.
-_NODES7, _WTS7 = (tuple(a.tolist()) for a in np.polynomial.legendre.leggauss(7))
-_NODES15, _WTS15 = (tuple(a.tolist()) for a in np.polynomial.legendre.leggauss(15))
-
-
-def _panel(f: Callable[[float], float], lo: float, hi: float) -> tuple:
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    i7 = 0.0
-    for t, w in zip(_NODES7, _WTS7):
-        i7 += w * f(c + h * t)
-    i15 = 0.0
-    for t, w in zip(_NODES15, _WTS15):
-        i15 += w * f(c + h * t)
-    i7 *= h
-    i15 *= h
-    if not (math.isfinite(i15) and math.isfinite(i7)):
-        raise DomainError(
-            f"integrand returned a non-finite value on [{lo}, {hi}]"
-        )
-    return i15, abs(i15 - i7)
-
-
-def integrate_adaptive(
-    f: Callable[[float], float],
-    lower: float,
-    upper: float,
-    policy: PrecisionPolicy | None = None,
-) -> float:
-    """Integrate f over [lower, upper] to the requested precision.
-
-    Globally adaptive: the panel with the largest error estimate (the
-    difference of the embedded 7- and 15-point Gauss rules) is bisected until
-    the summed estimate meets the policy, or ``ConvergenceError`` is raised
-    carrying the best estimate so far.
-    """
-    if policy is None:
-        policy = PrecisionPolicy()
-    lower = float(lower)
-    upper = float(upper)
-    if not (math.isfinite(lower) and math.isfinite(upper)) or lower > upper:
-        raise DomainError(f"bad interval [{lower}, {upper}]")
-    if lower == upper:
-        return 0.0
-    est, err = _panel(f, lower, upper)
-    heap = [(-err, lower, upper, est)]
-    total = est
-    total_err = err
-    for _ in range(policy.max_subdivisions):
-        if total_err <= max(policy.abs_tol, policy.rel_tol * abs(total)):
-            return total
-        neg_err, a, b, e = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break  # interval at machine resolution; cannot refine further
-        e1, r1 = _panel(f, a, mid)
-        e2, r2 = _panel(f, mid, b)
-        total += e1 + e2 - e
-        total_err += r1 + r2 + neg_err
-        heapq.heappush(heap, (-r1, a, mid, e1))
-        heapq.heappush(heap, (-r2, mid, b, e2))
-    if total_err <= max(policy.abs_tol, policy.rel_tol * abs(total)):
-        return total
-    raise ConvergenceError(
-        f"integral did not converge within {policy.max_subdivisions} "
-        f"subdivisions: estimate {total!r} with error estimate {total_err:.3e}",
-        best_estimate=total,
-        error_estimate=total_err,
-    )
 
 
 def _validate_shapes(n_t, n_r) -> tuple:
@@ -354,10 +251,13 @@ def _use_ascending(n_t: int, n_r: int, x: float) -> bool:
     tau = abs(n_t - n_r)
     m = min(n_t, n_r)
     lgg = math.lgamma(n_t) + math.lgamma(n_r)
-    if tau > 0:
-        lead = math.exp(math.lgamma(tau) + m * math.log(x) - lgg) / m
-    else:
-        lead = math.exp(m * math.log(x) - lgg) * max(-math.log(x), 1.0) / m
+    try:
+        if tau > 0:
+            lead = math.exp(math.lgamma(tau) + m * math.log(x) - lgg) / m
+        else:
+            lead = math.exp(m * math.log(x) - lgg) * max(-math.log(x), 1.0) / m
+    except OverflowError:
+        return False  # a leading term past float range is far above the cut
     return lead < _ASCENDING_F
 
 
@@ -373,17 +273,28 @@ def meijer_g_log_cdf(n_t, n_r, x: float) -> float:
         raise DomainError(f"x must be finite and >= 0, got {x}")
     if x == 0.0:
         return -math.inf
-    if n_r > n_t:
-        # the distribution is symmetric in the two shapes; fixing the order
-        # makes that exact bitwise and keeps the survival sum short
-        n_t, n_r = n_r, n_t
-    if _use_ascending(n_t, n_r, x):
-        return _cdf_ascending(n_t, n_r, x)
-    s = _survival(n_t, n_r, x)
-    if s >= 1.0:
-        # roundoff can push S marginally past 1 when F is at the switch edge
-        return _cdf_ascending(n_t, n_r, x)
-    return math.log1p(-s)
+    # the distribution is symmetric in the two shapes; fixing the order
+    # makes that exact bitwise and keeps the survival sum short
+    big, small = (n_r, n_t) if n_r > n_t else (n_t, n_r)
+    try:
+        if _use_ascending(big, small, x):
+            log_f = _cdf_ascending(big, small, x)
+        else:
+            s = _survival(big, small, x)
+            if s >= 1.0:
+                # roundoff can push S marginally past 1 when F is at the
+                # switch edge
+                log_f = _cdf_ascending(big, small, x)
+            else:
+                log_f = math.log1p(-s)
+    except (OverflowError, ValueError):
+        log_f = math.nan
+    if math.isnan(log_f):
+        raise DomainError(
+            f"gain CDF for shapes ({n_t}, {n_r}) at x = {x!r} is beyond "
+            "float64 reach of both the ascending and the survival series"
+        )
+    return log_f
 
 
 def meijer_g_cdf(n_t, n_r, x: float) -> float:

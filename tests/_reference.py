@@ -1,8 +1,9 @@
 """Independent high-precision oracles used only by the tests.
 
-Everything here is computed with mpmath from first principles (integral
-representations and the defining density), deliberately avoiding the code
-paths under test so that agreement is evidence rather than tautology.
+Everything here except ``package_pdf_integral`` is computed with mpmath
+from first principles (integral representations and the defining density),
+deliberately avoiding the code paths under test so that agreement is
+evidence rather than tautology.
 """
 
 import math
@@ -29,37 +30,50 @@ def bessel_k_integral(order: int, x: float, dps: int = 40) -> float:
         return float(val)
 
 
-def gain_cdf_quadrature(n_t: int, n_r: int, x: float, dps: int = 50) -> float:
-    """CDF of the product of two unit-mean-scale Erlang variables.
+def _erlang_product_cdf(n_t: int, n_r: int, xm):
+    """P(AB <= x) = E_B[P(A <= x/B)] at the caller's working precision.
 
-    Integrates the conditional Erlang CDF against the other factor's
-    density: P(AB <= x) = E_B[P(A <= x/B)].
+    Integrates the conditional Erlang CDF of A against the density of B.
     """
+
+    def integrand(b):
+        return (mp.gammainc(n_t, 0, xm / b, regularized=True)
+                * b ** (n_r - 1) * mp.e ** (-b) / mp.gamma(n_r))
+
+    return mp.quad(integrand, [0, xm, mp.inf])
+
+
+def gain_cdf_quadrature(n_t: int, n_r: int, x: float, dps: int = 50) -> float:
+    """CDF of the product of two unit-mean-scale Erlang variables."""
     with mp.workdps(dps):
         xm = mp.mpf(x)
         if xm <= 0:
             return 0.0
-
-        def integrand(b):
-            return (mp.gammainc(n_t, 0, xm / b, regularized=True)
-                    * b ** (n_r - 1) * mp.e ** (-b) / mp.gamma(n_r))
-
-        val = mp.quad(integrand, [0, xm, mp.inf])
-        return float(val)
+        return float(_erlang_product_cdf(n_t, n_r, xm))
 
 
 def gain_log_cdf_quadrature(n_t: int, n_r: int, x: float,
                             dps: int = 60) -> float:
     """ln of gain_cdf_quadrature, stable far into the lower tail."""
     with mp.workdps(dps):
-        xm = mp.mpf(x)
+        return float(mp.log(_erlang_product_cdf(n_t, n_r, mp.mpf(x))))
 
-        def integrand(b):
-            return (mp.gammainc(n_t, 0, xm / b, regularized=True)
-                    * b ** (n_r - 1) * mp.e ** (-b) / mp.gamma(n_r))
 
-        val = mp.quad(integrand, [0, xm, mp.inf])
-        return float(mp.log(val))
+def package_pdf_integral(pdf, n_t: int, n_r: int, upper: float,
+                         moment: int = 0) -> float:
+    """Integral of t^moment pdf(n_t, n_r, t) over [0, upper].
+
+    Unlike the oracles above, this integrates a package callable (the
+    float64 ``gain_pdf``), so agreement with the series CDF ties two package
+    paths together rather than the package to first principles. mpmath's
+    tanh-sinh rule never evaluates the endpoints, so the logarithmic
+    singularity of the (1, 1) density at 0 costs nothing; since the
+    integrand is float64, more than 15 working digits buy nothing.
+    """
+    with mp.workdps(15):
+        val = mp.quad(lambda t: t ** moment * pdf(n_t, n_r, float(t)),
+                      [0, upper])
+        return float(val)
 
 
 def outage_exact(n_t: int, n_r: int, rates_snrs, dps: int = 50) -> float:

@@ -32,14 +32,9 @@ from keyhole_harq.analysis import (
 )
 from keyhole_harq.keyhole import SystemConfig, sample_channel
 from keyhole_harq.montecarlo import empirical_diversity_slope, simulate_outage
-from keyhole_harq.specfun import (
-    PrecisionPolicy,
-    gain_pdf,
-    integrate_adaptive,
-    meijer_g_cdf,
-)
+from keyhole_harq.specfun import gain_pdf, meijer_g_cdf
 
-from _reference import square_bracket
+from _reference import package_pdf_integral, square_bracket
 
 SQRT2_OVER_14 = 0.10101525445522107491
 
@@ -66,18 +61,15 @@ def predicted_square_slope(n: int, k: int, rate: float, grid_db) -> float:
 
 
 def test_criterion_1_cdf_dual_path():
-    """Series CDF vs adaptive quadrature of the density, 1e-9 relative."""
+    """Series CDF vs mpmath quadrature of the density, 1e-9 relative."""
     start = time.perf_counter()
-    policy = PrecisionPolicy(rel_tol=1e-11, max_subdivisions=512)
     worst = 0.0
     worst_at = None
     for n_t in range(1, 5):
         for n_r in range(1, 5):
             for x in (0.01, 0.1, 1.0, 5.0, 20.0):
                 series = meijer_g_cdf(n_t, n_r, x)
-                quad = integrate_adaptive(
-                    lambda t: gain_pdf(n_t, n_r, t), 0.0, x, policy
-                )
+                quad = package_pdf_integral(gain_pdf, n_t, n_r, x)
                 rel = abs(series - quad) / quad
                 if rel > worst:
                     worst, worst_at = rel, (n_t, n_r, x)

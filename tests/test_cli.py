@@ -274,6 +274,46 @@ class TestSimulate:
         assert main(["simulate", "--trials", "0"]) == 2
 
 
+class TestDomainEdges:
+    # Points past float64 reach: each either answers with no nan cell or
+    # exits 2 with one error line naming the quantity, never a traceback.
+    # The asymptote overflows at 4x4 rate 259 and 2x2 rate 515/683, so its
+    # cell is blank there.
+    @pytest.mark.parametrize("argv,code,quantity", [
+        (["sweep-rate", "--nt", "16", "--nr", "16", "--k", "1",
+          "--gamma-db", "10", "--rate", "68:1:68"], 2, "gain CDF"),
+        (["sweep-rate", "--nt", "4", "--nr", "4", "--k", "1",
+          "--gamma-db", "10", "--rate", "259:1:259"], 0, None),
+        (["sweep-rate", "--nt", "2", "--nr", "2", "--k", "1",
+          "--gamma-db", "10", "--rate", "515:1:515"], 0, None),
+        (["sweep-rate", "--nt", "2", "--nr", "2", "--k", "1",
+          "--gamma-db", "10", "--rate", "683:1:683"], 0, None),
+        (["sweep-rate", "--nt", "2", "--nr", "2", "--k", "1",
+          "--gamma-db", "10", "--rate", "686:1:686"], 2, "gain CDF"),
+        (["sweep-rate", "--nt", "2", "--nr", "2", "--k", "1",
+          "--gamma-db", "10", "--rate", "1024:1:1024"], 2, "outage threshold"),
+        (["sweep-snr", "--nt", "200", "--nr", "200", "--k", "1",
+          "--snr-db", "0:1:0"], 2, "gain CDF"),
+        (["sweep-snr", "--nt", "200", "--nr", "200", "--k", "1",
+          "--snr-db", "1:1:1"], 2, "gain CDF"),
+    ])
+    def test_typed_outcome(self, capsys, argv, code, quantity):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            rows = out.splitlines()
+            assert rows[0] == EXPECTED_HEADER and len(rows) == 2
+            cells = rows[1].split(",")
+            assert "nan" not in cells
+            assert float(cells[1]) == 1.0 and cells[2] == ""
+            assert err == ""
+        else:
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("error: " + quantity)
+
+
 class TestArgparseBehavior:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -3,7 +3,8 @@
 Reference values come from two independent sources: constants frozen from
 high-precision evaluation of defining integrals/series (inline below), and
 the live mpmath oracles in ``_reference`` that never touch the code paths
-under test.
+under test. The density checks integrate the package's own ``gain_pdf``
+with mpmath (``package_pdf_integral``).
 """
 
 import math
@@ -12,17 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyhole_harq.errors import ConvergenceError, DomainError
+from keyhole_harq.errors import DomainError
 from keyhole_harq.specfun import (
-    PrecisionPolicy,
     bessel_k_scaled,
     gain_pdf,
-    integrate_adaptive,
     meijer_g_cdf,
     meijer_g_log_cdf,
 )
 
-from _reference import bessel_k_integral, gain_cdf_quadrature, gain_log_cdf_quadrature
+from _reference import (
+    bessel_k_integral,
+    gain_cdf_quadrature,
+    gain_log_cdf_quadrature,
+    package_pdf_integral,
+)
 
 # 40+ digit evaluations of the defining integrals, frozen as float64.
 K1_AT_2 = 0.13986588181652242728        # K_1(2)
@@ -118,66 +122,6 @@ class TestBesselK:
         assert bessel_k_scaled(order + 1, x) > bessel_k_scaled(order, x) > 0.0
 
 
-class TestPrecisionPolicy:
-    def test_defaults(self):
-        p = PrecisionPolicy()
-        assert p.rel_tol == 1e-10 and p.abs_tol == 0.0 and p.max_subdivisions == 256
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0])
-    def test_rel_tol_domain(self, bad):
-        with pytest.raises(DomainError):
-            PrecisionPolicy(rel_tol=bad)
-
-    def test_abs_tol_domain(self):
-        with pytest.raises(DomainError):
-            PrecisionPolicy(abs_tol=-1.0)
-
-    def test_subdivision_domain(self):
-        with pytest.raises(DomainError):
-            PrecisionPolicy(max_subdivisions=0)
-
-
-class TestIntegrateAdaptive:
-    def test_smooth(self):
-        got = integrate_adaptive(math.sin, 0.0, math.pi)
-        assert abs(got - 2.0) < 1e-12
-
-    def test_log_endpoint_singularity(self):
-        got = integrate_adaptive(lambda t: -math.log(t), 0.0, 1.0)
-        assert abs(got - 1.0) < 1e-9
-
-    def test_inverse_sqrt_singularity(self):
-        policy = PrecisionPolicy(rel_tol=1e-8, max_subdivisions=512)
-        got = integrate_adaptive(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, policy)
-        assert rel_err(got, 2.0) < 1e-7
-
-    def test_empty_interval(self):
-        assert integrate_adaptive(math.sin, 1.3, 1.3) == 0.0
-
-    def test_zero_integrand_with_abs_floor(self):
-        policy = PrecisionPolicy(abs_tol=1e-12)
-        assert integrate_adaptive(lambda t: 0.0, 0.0, 1.0, policy) == 0.0
-
-    def test_convergence_error_carries_estimate(self):
-        policy = PrecisionPolicy(rel_tol=1e-10, max_subdivisions=4)
-        with pytest.raises(ConvergenceError) as exc_info:
-            integrate_adaptive(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, policy)
-        err = exc_info.value
-        assert math.isfinite(err.best_estimate)
-        assert 1.5 < err.best_estimate < 2.5
-        assert err.error_estimate > 0.0
-
-    def test_bad_interval(self):
-        with pytest.raises(DomainError):
-            integrate_adaptive(math.sin, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            integrate_adaptive(math.sin, 0.0, math.inf)
-
-    def test_non_finite_integrand(self):
-        with pytest.raises(DomainError):
-            integrate_adaptive(lambda t: math.nan, 0.0, 1.0)
-
-
 class TestGainPdf:
     def test_zero_limits(self):
         assert gain_pdf(1, 1, 0.0) == math.inf
@@ -190,9 +134,7 @@ class TestGainPdf:
     def test_normalization_1x1_truncated(self):
         # mass of the (1,1) density on [0, 50]; the truncation tail is
         # ~3.5e-6, so this checks the integrand, not just "close to 1"
-        got = integrate_adaptive(
-            lambda t: gain_pdf(1, 1, t), 0.0, 50.0, PrecisionPolicy(rel_tol=1e-11)
-        )
+        got = package_pdf_integral(gain_pdf, 1, 1, 50.0)
         assert abs(got - PDF_11_MASS_TO_50) < 1e-8
         assert abs(got - 1.0) < 1e-5
 
@@ -200,18 +142,12 @@ class TestGainPdf:
                                                (1, 3, 160.0)])
     def test_normalization(self, n_t, n_r, upper):
         # the cut point keeps the truncated tail below 2e-8 in each case
-        got = integrate_adaptive(
-            lambda t: gain_pdf(n_t, n_r, t), 0.0, upper,
-            PrecisionPolicy(rel_tol=1e-9, max_subdivisions=512),
-        )
+        got = package_pdf_integral(gain_pdf, n_t, n_r, upper)
         assert abs(got - 1.0) < 1e-6
 
     def test_mean(self):
         # E[X] = n_t * n_r for the product of the two Erlang factors
-        got = integrate_adaptive(
-            lambda t: t * gain_pdf(2, 2, t), 0.0, 150.0,
-            PrecisionPolicy(rel_tol=1e-9, max_subdivisions=512),
-        )
+        got = package_pdf_integral(gain_pdf, 2, 2, 150.0, moment=1)
         assert rel_err(got, 4.0) < 1e-6
 
     def test_domain(self):
@@ -255,10 +191,7 @@ class TestGainCdf:
     @pytest.mark.parametrize("x", [0.04, 1.0, 9.0])
     def test_dual_path(self, n_t, n_r, x):
         series = meijer_g_cdf(n_t, n_r, x)
-        quad = integrate_adaptive(
-            lambda t: gain_pdf(n_t, n_r, t), 0.0, x,
-            PrecisionPolicy(rel_tol=1e-11, max_subdivisions=512),
-        )
+        quad = package_pdf_integral(gain_pdf, n_t, n_r, x)
         assert rel_err(series, quad) < 1e-9
 
     @pytest.mark.parametrize("n_t,n_r,x", [(2, 1, 1e-4), (3, 2, 1e-4)])
