@@ -11,7 +11,10 @@ that product (asymptote, diversity order, coding gain) follows the same
 per-round threshold.
 
 All probabilities are carried as natural logs; K rounds of ~1e-8 factors are
-routine operating points and would underflow a linear carrier.
+routine operating points and would underflow a linear carrier. Rounds with
+the same threshold (equal per-round SNRs, as in the paper's curves) share
+one per-round evaluation, and the logs are still added in round order, so
+the sum is bitwise the round-by-round one.
 """
 
 from __future__ import annotations
@@ -62,23 +65,32 @@ def outage_threshold(config: SystemConfig, round_index: int) -> float:
         )
     snr = config.snr_per_round[round_index - 1]
     try:
-        return config.n_t * (2.0 ** config.rate - 1.0) / snr
+        t = config.n_t * (2.0 ** config.rate - 1.0) / snr
     except OverflowError:
+        t = math.inf
+    if not math.isfinite(t):
         raise DomainError(
             f"outage threshold n_t (2^R - 1) / snr overflows float64 at "
-            f"rate {config.rate!r}"
-        ) from None
+            f"n_t {config.n_t}, rate {config.rate!r}, snr {snr!r}"
+        )
+    return t
 
 
 def exact_outage(config: SystemConfig) -> OutageProbability:
     """Exact outage probability at any SNR.
 
-    Product of the per-round CDF values, accumulated as a sum of logs.
+    Product of the per-round CDF values, accumulated as a sum of logs in
+    round order. Rounds sharing a threshold share one CDF evaluation.
     rate = 0 gives zero thresholds and outage probability 0.
     """
+    log_cdf = {}
     log_p = 0.0
     for k in range(1, config.k_rounds + 1):
-        log_p += meijer_g_log_cdf(config.n_t, config.n_r, outage_threshold(config, k))
+        t = outage_threshold(config, k)
+        v = log_cdf.get(t)
+        if v is None:
+            v = log_cdf[t] = meijer_g_log_cdf(config.n_t, config.n_r, t)
+        log_p += v
     return OutageProbability.from_log(log_p)
 
 
@@ -104,24 +116,30 @@ def asymptotic_outage(config: SystemConfig) -> OutageProbability:
                 )
     if config.rate == 0.0:
         return OutageProbability.from_log(-math.inf)
+    terms = {}
     log_p = 0.0
     for k in range(1, config.k_rounds + 1):
-        t = outage_threshold(config, k)
-        if tau == 0:
-            log_p += (
-                config.n_t * math.log(t)
-                + math.log(math.log(config.snr_per_round[k - 1]))
-                - math.log(config.n_t)
-                - 2.0 * math.lgamma(config.n_t)
-            )
-        else:
-            log_p += (
-                math.lgamma(tau)
-                - math.lgamma(config.n_t)
-                - math.lgamma(config.n_r)
-                + m * math.log(t)
-                - math.log(m)
-            )
+        snr = config.snr_per_round[k - 1]
+        v = terms.get(snr)
+        if v is None:
+            t = outage_threshold(config, k)
+            if tau == 0:
+                v = (
+                    config.n_t * math.log(t)
+                    + math.log(math.log(snr))
+                    - math.log(config.n_t)
+                    - 2.0 * math.lgamma(config.n_t)
+                )
+            else:
+                v = (
+                    math.lgamma(tau)
+                    - math.lgamma(config.n_t)
+                    - math.lgamma(config.n_r)
+                    + m * math.log(t)
+                    - math.log(m)
+                )
+            terms[snr] = v
+        log_p += v
     return OutageProbability.from_log(log_p)
 
 

@@ -29,7 +29,7 @@ from .analysis import (
     exact_outage,
 )
 from .errors import DomainError
-from .keyhole import SystemConfig
+from .keyhole import SystemConfig, db_to_linear
 from .montecarlo import empirical_diversity_slope, simulate_outage
 
 CSV_HEADER = ("axis", "exact", "asymptotic", "simulated", "ci_low", "ci_high",
@@ -53,10 +53,6 @@ class CurvePoint:
 class CurveResult:
     axis_name: str
     points: tuple
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 def parse_range(text: str) -> list:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "SystemConfig",
     "ChannelDraw",
@@ -102,6 +104,14 @@ def sample_channel(n_t: int, n_r: int, rng: np.random.Generator) -> ChannelDraw:
     v = z[2 * n_r:2 * n_r + n_t] + 1j * z[2 * n_r + n_t:]
     x = float(np.sum(u.real**2 + u.imag**2) * np.sum(v.real**2 + v.imag**2))
     return ChannelDraw(u=u, v=v, x_gain=x)
+
+
+def db_to_linear(db: float) -> float:
+    """Linear SNR of a dB value; ``DomainError`` past float64 (~3083 dB)."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError(f"SNR {db!r} dB overflows float64") from None
 
 
 def mutual_information_round(x_gain: float, snr: float, n_t: int) -> float:

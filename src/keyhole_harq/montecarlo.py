@@ -25,7 +25,7 @@ from numpy.random import Generator, Philox
 
 from .analysis import exact_outage, outage_threshold
 from .errors import SimulationInfeasibleError
-from .keyhole import SystemConfig
+from .keyhole import SystemConfig, db_to_linear
 
 __all__ = [
     "SimulationResult",
@@ -177,7 +177,7 @@ def empirical_diversity_slope(
     if method not in ("exact", "simulation"):
         raise ValueError(f"method must be 'exact' or 'simulation', got {method!r}")
     configs = [
-        replace(config, snr_per_round=(10.0 ** (db / 10.0),) * config.k_rounds)
+        replace(config, snr_per_round=(db_to_linear(db),) * config.k_rounds)
         for db in grid
     ]
     if method == "exact":

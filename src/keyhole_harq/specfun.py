@@ -8,6 +8,9 @@ Everything here is plain float64 arithmetic on the standard library's
   [1e-8, 30] and orders up to 16. Orders 0 and 1 come from an ascending
   series (x <= 2) or Chebyshev fits of sqrt(x) e^x K_nu(x) (x > 2); higher
   orders use the upward recurrence, which is stable for this function.
+  ``bessel_k_scaled`` and the survival series share one generator of the
+  orders, so a survival CDF evaluates K_0 and K_1 once, at r = 2 sqrt(x),
+  and walks the recurrence once up to order n_t.
 * ``gain_pdf`` / ``meijer_g_cdf``: density and distribution function of the
   product of two unit-scale Erlang variables with integer shapes. The CDF is
   a Meijer-G function that reduces, for integer shapes, to a finite Bessel-K
@@ -22,6 +25,7 @@ mpmath quadrature of ``gain_pdf``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -66,10 +70,11 @@ _K1E_CHEB = (
 
 
 def _clenshaw(coefs: tuple, s: float) -> float:
+    s2 = 2.0 * s  # 2.0 * s * b1 groups as (2.0 * s) * b1: same bits
     b1 = 0.0
     b2 = 0.0
     for a in coefs[:0:-1]:
-        b1, b2 = 2.0 * s * b1 - b2 + a, b1
+        b1, b2 = s2 * b1 - b2 + a, b1
     return s * b1 - b2 + coefs[0]
 
 
@@ -101,6 +106,32 @@ def _k01_small(x: float) -> tuple:
     return k0, k1
 
 
+def _k_scaled_upward(x: float):
+    """Yield e^x K_0(x), e^x K_1(x), e^x K_2(x), ... for x > 0.
+
+    K_0 and K_1 are evaluated once; every higher order comes from the upward
+    recurrence K_{n+1} = K_{n-1} + (2n/x) K_n: all terms positive, so no
+    cancellation; K is the dominant solution in this direction.
+    """
+    if x <= 2.0:
+        k0, k1 = _k01_small(x)
+        e = math.exp(x)
+        k0 *= e
+        k1 *= e
+    else:
+        rs = 1.0 / math.sqrt(x)
+        s = 4.0 / x - 1.0
+        k0 = _clenshaw(_K0E_CHEB, s) * rs
+        k1 = _clenshaw(_K1E_CHEB, s) * rs
+    yield k0
+    km, kc = k0, k1
+    nu = 1
+    while True:
+        yield kc
+        km, kc = kc, km + (2.0 * nu / x) * kc
+        nu += 1
+
+
 def bessel_k_scaled(order, x: float) -> float:
     """e^x K_order(x) for integer order >= 0 and x > 0.
 
@@ -116,24 +147,7 @@ def bessel_k_scaled(order, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"argument must be finite and > 0, got {x}")
-    if x <= 2.0:
-        k0, k1 = _k01_small(x)
-        e = math.exp(x)
-        k0 *= e
-        k1 *= e
-    else:
-        rs = 1.0 / math.sqrt(x)
-        s = 4.0 / x - 1.0
-        k0 = _clenshaw(_K0E_CHEB, s) * rs
-        k1 = _clenshaw(_K1E_CHEB, s) * rs
-    if order == 0:
-        return k0
-    # upward recurrence K_{n+1} = K_{n-1} + (2n/x) K_n: all terms positive,
-    # so no cancellation; K is the dominant solution in this direction.
-    km, kc = k0, k1
-    for nu in range(1, order):
-        km, kc = kc, km + (2.0 * nu / x) * kc
-    return kc
+    return next(itertools.islice(_k_scaled_upward(x), order, None))
 
 
 def _validate_shapes(n_t, n_r) -> tuple:
@@ -177,13 +191,18 @@ def gain_pdf(n_t, n_r, x: float) -> float:
 
 
 def _survival(n_t: int, n_r: int, x: float) -> float:
-    """P(X > x) as the finite Bessel series, evaluated in scaled form."""
+    """P(X > x) as the finite Bessel series, evaluated in scaled form.
+
+    Orders n_t - n_r + 1 .. n_t all come from one K_0/K_1 evaluation at
+    r = 2 sqrt(x) and one upward recurrence (n_t >= n_r here).
+    """
     r = 2.0 * math.sqrt(x)
     logx = math.log(x)
+    ks = list(itertools.islice(_k_scaled_upward(r), n_t + 1))
     acc = 0.0
     for m in range(n_r):
         acc += math.exp(0.5 * (n_t + m) * logx - math.lgamma(m + 1)) * \
-            bessel_k_scaled(abs(n_t - m), r)
+            ks[n_t - m]
     return 2.0 * math.exp(-r - math.lgamma(n_t)) * acc
 
 

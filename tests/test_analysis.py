@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keyhole_harq import analysis
 from keyhole_harq.analysis import (
     asymptotic_outage,
     coding_gain,
@@ -46,6 +47,14 @@ class TestOutageThreshold:
             with pytest.raises(ValueError):
                 outage_threshold(config, bad)
 
+    def test_overflow_in_product_raises(self):
+        # 2^R - 1 is finite at R = 1023.9 but n_t times it is not
+        config = SystemConfig.equal_snr(16, 3, 1, 1023.9, 10.0)
+        with pytest.raises(DomainError, match="outage threshold"):
+            outage_threshold(config, 1)
+        with pytest.raises(DomainError, match="outage threshold"):
+            asymptotic_outage(config)
+
 
 class TestExactOutage:
     def test_single_round_frozen_value(self):
@@ -63,6 +72,39 @@ class TestExactOutage:
             meijer_g_log_cdf(2, 3, outage_threshold(config, k)) for k in (1, 2)
         )
         assert exact_outage(config).log_value == pytest.approx(want, rel=1e-14)
+
+    @pytest.fixture
+    def cdf_calls(self, monkeypatch):
+        calls = []
+
+        def counted(n_t, n_r, x):
+            calls.append(x)
+            return meijer_g_log_cdf(n_t, n_r, x)
+
+        monkeypatch.setattr(analysis, "meijer_g_log_cdf", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_t,n_r,snrs", [
+        (2, 2, (10.0,) * 4),
+        (16, 9, (3.0,) * 4),
+        (2, 2, (2.0, 10.0, 31.6, 1e3)),
+        (3, 5, (1.5, 7.0, 40.0, 1e4)),
+    ])
+    def test_one_cdf_per_distinct_threshold(self, cdf_calls, n_t, n_r, snrs):
+        config = SystemConfig(n_t, n_r, len(snrs), 3.0, snrs)
+        got = exact_outage(config).log_value
+        assert len(cdf_calls) == len(set(snrs))
+        want = 0.0
+        for k in range(1, len(snrs) + 1):
+            want += meijer_g_log_cdf(n_t, n_r, outage_threshold(config, k))
+        assert got == want  # bitwise: same values, same round order
+
+    def test_repeated_threshold_keeps_round_order(self, cdf_calls):
+        config = SystemConfig(2, 3, 3, 2.5, (3.0, 11.0, 3.0))
+        v1, v2 = (meijer_g_log_cdf(2, 3, outage_threshold(config, k))
+                  for k in (1, 2))
+        assert exact_outage(config).log_value == 0.0 + v1 + v2 + v1
+        assert len(cdf_calls) == 2
 
     def test_against_independent_oracle(self):
         config = SystemConfig(2, 3, 2, 3.0, (3.1622776601683795, 3.1622776601683795))
@@ -137,6 +179,18 @@ class TestAsymptoticOutage:
             ratios.append(exact_outage(c).value / asymptotic_outage(c).value)
         assert abs(ratios[-1] - 1.0) < 0.01
         assert abs(ratios[0] - 1.0) > abs(ratios[1] - 1.0) > abs(ratios[2] - 1.0)
+
+    @pytest.mark.parametrize("n_t,n_r", [(2, 3), (3, 3)])
+    def test_per_round_terms_add_in_round_order(self, n_t, n_r):
+        # one-round configurations give each round's term alone (0.0 + v)
+        snrs = (30.0, 500.0, 30.0, 30.0)
+        v = {g: asymptotic_outage(SystemConfig.equal_snr(n_t, n_r, 1, 3.0, g))
+             .log_value for g in set(snrs)}
+        want = 0.0
+        for g in snrs:
+            want += v[g]
+        config = SystemConfig(n_t, n_r, len(snrs), 3.0, snrs)
+        assert asymptotic_outage(config).log_value == want
 
     def test_log_slope_is_exact_for_asymmetric_arrays(self):
         # the tau > 0 asymptote is a pure power law: decade-per-decade slope

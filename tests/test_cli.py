@@ -277,6 +277,7 @@ class TestSimulate:
 class TestDomainEdges:
     # Points past float64 reach: each either answers with no nan cell or
     # exits 2 with one error line naming the quantity, never a traceback.
+    # 10^(dB/10) leaves float64 from ~3083 dB.
     # The asymptote overflows at 4x4 rate 259 and 2x2 rate 515/683, so its
     # cell is blank there.
     @pytest.mark.parametrize("argv,code,quantity", [
@@ -296,6 +297,10 @@ class TestDomainEdges:
           "--snr-db", "0:1:0"], 2, "gain CDF"),
         (["sweep-snr", "--nt", "200", "--nr", "200", "--k", "1",
           "--snr-db", "1:1:1"], 2, "gain CDF"),
+        (["sweep-snr", "--snr-db", "3090:1:3090"], 2, "SNR"),
+        (["simulate", "--gamma-db", "4000", "--trials", "10"], 2, "SNR"),
+        (["diversity", "--snr-db", "3000:100:3100", "--method", "exact"],
+         2, "SNR"),
     ])
     def test_typed_outcome(self, capsys, argv, code, quantity):
         assert main(argv) == code

@@ -23,6 +23,10 @@ CURVES = [
     ("sweep_snr_3x5_k2.csv",
      ["sweep-snr", "--nt", "3", "--nr", "5", "--k", "2", "--rate", "3",
       "--snr-db", "0:0.25:70"]),
+    # pins Bessel orders up to 16 on the survival branch
+    ("sweep_snr_16x9_k4.csv",
+     ["sweep-snr", "--nt", "16", "--nr", "9", "--k", "4", "--rate", "3",
+      "--snr-db", "0:0.25:70"]),
     ("sweep_rate_2x2_k2.csv",
      ["sweep-rate", "--nt", "2", "--nr", "2", "--k", "2", "--gamma-db", "3,9"]),
     ("coding_gain_2x2.csv", ["coding-gain", "--nt", "2", "--nr", "2"]),

@@ -7,12 +7,14 @@ under test. The density checks integrate the package's own ``gain_pdf``
 with mpmath (``package_pdf_integral``).
 """
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keyhole_harq import specfun
 from keyhole_harq.errors import DomainError
 from keyhole_harq.specfun import (
     bessel_k_scaled,
@@ -89,6 +91,13 @@ class TestBesselK:
     def test_order_domain(self, bad_order):
         with pytest.raises(DomainError):
             bessel_k_scaled(bad_order, 1.0)
+
+    @pytest.mark.parametrize("x", [1e-6, 0.3, 1.0, 1.999999, 2.0, 2.000001,
+                                   2.5, 7.0, 30.0, 448.0])
+    def test_one_recurrence_serves_every_order(self, x):
+        # the survival series reads all its orders from one upward walk
+        ks = list(itertools.islice(specfun._k_scaled_upward(x), 17))
+        assert ks == [bessel_k_scaled(n, x) for n in range(17)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -214,6 +223,33 @@ class TestGainCdf:
             / (n * math.exp(2.0 * math.lgamma(n)))
         )
         assert rel_err(meijer_g_cdf(n, n, x), lead) < 1e-5
+
+    @pytest.mark.parametrize("n_t,n_r,x", [
+        (2, 2, 1.4), (2, 1, 0.5), (5, 3, 30.0), (16, 9, 112.0), (16, 16, 40.0),
+    ])
+    def test_survival_equals_term_by_term_series(self, n_t, n_r, x):
+        # the old form: one bessel_k_scaled call (own K_0/K_1) per term
+        r = 2.0 * math.sqrt(x)
+        acc = 0.0
+        for m in range(n_r):
+            acc += math.exp(0.5 * (n_t + m) * math.log(x) - math.lgamma(m + 1)) \
+                * bessel_k_scaled(abs(n_t - m), r)
+        want = 2.0 * math.exp(-r - math.lgamma(n_t)) * acc
+        assert specfun._survival(n_t, n_r, x) == want
+
+    def test_survival_cdf_evaluates_k0_k1_once(self, monkeypatch):
+        calls = []
+        original = specfun._clenshaw
+
+        def counted(coefs, s):
+            calls.append(coefs)
+            return original(coefs, s)
+
+        monkeypatch.setattr(specfun, "_clenshaw", counted)
+        # x = 112 is on the survival branch; r = 2 sqrt(x) > 2 uses the fits
+        assert not specfun._use_ascending(16, 9, 112.0)
+        meijer_g_log_cdf(16, 9, 112.0)
+        assert calls == [specfun._K0E_CHEB, specfun._K1E_CHEB]
 
     def test_switchover_continuity(self):
         # the survival/ascending handover must not leave a jump
