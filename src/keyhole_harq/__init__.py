@@ -15,6 +15,7 @@ from .analysis import (
     coding_gain,
     diversity_order,
     exact_outage,
+    outage_curve,
     outage_threshold,
 )
 from .errors import (
@@ -60,6 +61,7 @@ __all__ = [
     "meijer_g_cdf",
     "meijer_g_log_cdf",
     "mutual_information_round",
+    "outage_curve",
     "outage_threshold",
     "sample_channel",
     "sample_round_gains",

@@ -4,31 +4,36 @@ Subcommands: sweep-snr, sweep-rate, coding-gain, diversity, simulate.
 Curve commands emit CSV with the fixed header
 ``axis,exact,asymptotic,simulated,ci_low,ci_high,log10_exact`` (17
 significant digits, empty cells where a column does not apply) and, with
---json, a JSON mirror carrying run metadata. dB inputs are converted to
-linear SNR once, at parse time. Exit codes: 0 success, 2 usage or validation
-error.
+--json, a JSON mirror carrying run metadata. sweep-snr and sweep-rate
+evaluate their analytic columns in one ``outage_curve`` pass over the axis,
+and build a ``SystemConfig`` per point only for the simulated columns. The
+argument parser is built once per process and reused by every ``main``
+call. Exit codes: 0 success, 2 usage or validation error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import __version__
+# exact_outage and asymptotic_outage are not called here: the curve
+# commands evaluate through outage_curve. They stay module attributes
+# because perfbench/tracing.py rebinds them to time those layers.
 from .analysis import (
     asymptotic_outage,
     coding_gain,
     diversity_order,
     exact_outage,
+    outage_curve,
 )
-from .errors import DomainError
 from .keyhole import SystemConfig, db_to_linear
 from .montecarlo import empirical_diversity_slope, simulate_outage
 
@@ -38,8 +43,9 @@ CSV_HEADER = ("axis", "exact", "asymptotic", "simulated", "ci_low", "ci_high",
 _LN10 = math.log(10.0)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
+    """One CSV row; None is a blank cell."""
+
     axis: float
     exact: Optional[float] = None
     asymptotic: Optional[float] = None
@@ -86,10 +92,6 @@ def parse_gamma_db(text: str, k_rounds: int) -> tuple:
     return tuple(db_to_linear(v) for v in vals)
 
 
-def _fmt(v: Optional[float]) -> str:
-    return "" if v is None else f"{v:.17g}"
-
-
 def write_curve_csv(path, curve: CurveResult) -> None:
     if path is None:
         _write_csv_rows(sys.stdout, curve)
@@ -99,38 +101,19 @@ def write_curve_csv(path, curve: CurveResult) -> None:
 
 
 def _write_csv_rows(fh, curve: CurveResult) -> None:
-    w = csv.writer(fh)
-    w.writerow(CSV_HEADER)
-    for p in curve.points:
-        w.writerow([_fmt(p.axis), _fmt(p.exact), _fmt(p.asymptotic),
-                    _fmt(p.simulated), _fmt(p.ci_low), _fmt(p.ci_high),
-                    _fmt(p.log10_exact)])
-
-
-def read_curve_csv(path, axis_name: str = "axis") -> CurveResult:
-    """Parse a file produced by ``write_curve_csv``.
-
-    The fixed CSV header cannot carry the axis name, so it is supplied by
-    the caller (the JSON mirror records it in metadata).
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ValueError(f"unexpected header in {path}: {rows[:1]!r}")
-    points = []
-    for row in rows[1:]:
-        if len(row) != len(CSV_HEADER):
-            raise ValueError(f"malformed row {row!r}")
-        vals = [None if cell == "" else float(cell) for cell in row]
-        points.append(CurvePoint(*vals))
-    return CurveResult(axis_name=axis_name, points=tuple(points))
+    # csv.writer's dialect: CRLF rows; no cell ever needs quoting
+    lines = [",".join(CSV_HEADER)]
+    lines += [",".join(["" if v is None else f"{v:.17g}" for v in p])
+              for p in curve.points]
+    lines.append("")
+    fh.write("\r\n".join(lines))
 
 
 def write_curve_json(path, curve: CurveResult, metadata: dict) -> None:
     doc = {
         "metadata": dict(metadata, axis_name=curve.axis_name,
                          tool_version=__version__),
-        "points": [asdict(p) for p in curve.points],
+        "points": [p._asdict() for p in curve.points],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -154,19 +137,24 @@ def _sim_columns(config: SystemConfig, trials: int, seed: int, lanes: int):
     return r.estimate, lo, hi
 
 
-def _curve_point(config: SystemConfig, axis: float, trials: int, seed: int,
-                 lanes: int) -> CurvePoint:
-    ex = exact_outage(config)
-    try:
-        asy = asymptotic_outage(config).value
-    except DomainError:
-        asy = None
-    sim = lo = hi = None
-    if trials > 0:
-        sim, lo, hi = _sim_columns(config, trials, seed, lanes)
-    return CurvePoint(axis=axis, exact=ex.value, asymptotic=asy,
-                      simulated=sim, ci_low=lo, ci_high=hi,
-                      log10_exact=ex.log_value / _LN10)
+def _curve_points(args, axis: list, point) -> tuple:
+    """One row per axis value; ``point(x)`` is its (rate, snr_per_round).
+
+    The analytic columns come from one pass of ``outage_curve`` over the
+    axis; a ``SystemConfig`` is built only for the simulated columns.
+    """
+    rows = []
+    curve = outage_curve(args.nt, args.nr, args.k, map(point, axis))
+    for x, (log_p, log_asy) in zip(axis, curve):
+        sim = lo = hi = None
+        if args.trials > 0:
+            config = SystemConfig(args.nt, args.nr, args.k, *point(x))
+            sim, lo, hi = _sim_columns(config, args.trials, args.seed,
+                                       args.lanes)
+        rows.append(CurvePoint(
+            x, math.exp(log_p), None if log_asy is None else math.exp(log_asy),
+            sim, lo, hi, log_p / _LN10))
+    return tuple(rows)
 
 
 def _emit_curve(args, curve: CurveResult, metadata: dict) -> int:
@@ -181,13 +169,9 @@ def _emit_curve(args, curve: CurveResult, metadata: dict) -> int:
 
 def _cmd_sweep_snr(args) -> int:
     axis = parse_range(args.snr_db)
-    points = []
-    for db in axis:
-        config = SystemConfig.equal_snr(args.nt, args.nr, args.k, args.rate,
-                                        db_to_linear(db))
-        points.append(_curve_point(config, db, args.trials, args.seed,
-                                   args.lanes))
-    curve = CurveResult(axis_name="snr_db", points=tuple(points))
+    points = _curve_points(
+        args, axis, lambda db: (args.rate, (db_to_linear(db),) * args.k))
+    curve = CurveResult(axis_name="snr_db", points=points)
     meta = {
         "command": "sweep-snr",
         "n_t": args.nt, "n_r": args.nr, "k_rounds": args.k,
@@ -200,12 +184,8 @@ def _cmd_sweep_snr(args) -> int:
 def _cmd_sweep_rate(args) -> int:
     axis = parse_range(args.rate)
     snrs = parse_gamma_db(args.gamma_db, args.k)
-    points = []
-    for rate in axis:
-        config = SystemConfig(args.nt, args.nr, args.k, rate, snrs)
-        points.append(_curve_point(config, rate, args.trials, args.seed,
-                                   args.lanes))
-    curve = CurveResult(axis_name="rate", points=tuple(points))
+    points = _curve_points(args, axis, lambda rate: (rate, snrs))
+    curve = CurveResult(axis_name="rate", points=points)
     meta = {
         "command": "sweep-rate",
         "n_t": args.nt, "n_r": args.nr, "k_rounds": args.k,
@@ -381,9 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

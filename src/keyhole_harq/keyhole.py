@@ -31,6 +31,38 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
+def check_count(name: str, v) -> int:
+    """An antenna or round count: an integer >= 1."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
+    if v < 1:
+        raise ValueError(f"{name} must be >= 1, got {v}")
+    return v
+
+
+def check_rate(rate) -> float:
+    """A target rate in bits/s/Hz: finite and >= 0."""
+    r = float(rate)
+    if not math.isfinite(r) or r < 0.0:
+        raise ValueError(f"rate must be finite and >= 0, got {rate}")
+    return r
+
+
+def check_snrs(snr_per_round, k_rounds: int) -> tuple:
+    """One finite, positive linear SNR per round."""
+    snrs = tuple(map(float, snr_per_round))
+    if len(snrs) != k_rounds:
+        raise ValueError(
+            f"snr_per_round has {len(snrs)} entries for {k_rounds} rounds"
+        )
+    for g in snrs:
+        if not math.isfinite(g) or g <= 0.0:
+            raise ValueError(f"per-round SNR must be finite and > 0, got {g}")
+    return snrs
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Frozen description of one operating point.
@@ -47,27 +79,10 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_t", "n_r", "k_rounds"):
-            v = getattr(self, name)
-            try:
-                v = operator.index(v)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {v!r}") from None
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
-            object.__setattr__(self, name, v)
-        rate = float(self.rate)
-        if not math.isfinite(rate) or rate < 0.0:
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
-        object.__setattr__(self, "rate", rate)
-        snrs = tuple(float(g) for g in self.snr_per_round)
-        if len(snrs) != self.k_rounds:
-            raise ValueError(
-                f"snr_per_round has {len(snrs)} entries for {self.k_rounds} rounds"
-            )
-        for g in snrs:
-            if not math.isfinite(g) or g <= 0.0:
-                raise ValueError(f"per-round SNR must be finite and > 0, got {g}")
-        object.__setattr__(self, "snr_per_round", snrs)
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        object.__setattr__(self, "rate", check_rate(self.rate))
+        object.__setattr__(self, "snr_per_round",
+                           check_snrs(self.snr_per_round, self.k_rounds))
 
     @property
     def tau(self) -> int:

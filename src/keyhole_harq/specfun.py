@@ -18,6 +18,10 @@ Everything here is plain float64 arithmetic on the standard library's
   1 - S(x) would cancel. Where neither series can be evaluated in float64
   (an overflowing term, or cancellation that leaves no valid logarithm),
   ``meijer_g_log_cdf`` raises ``DomainError`` instead of returning NaN.
+  The factors of both series that depend only on the shapes (lgamma
+  values, the ascending series' coefficients for every term) are computed
+  once per shape and kept in a bounded LRU table, so an evaluation at x does
+  only the x-dependent arithmetic, in the same grouping as before.
 
 The density is not integrated here: the tests check the CDF against an
 mpmath quadrature of ``gain_pdf``.
@@ -25,9 +29,11 @@ mpmath quadrature of ``gain_pdf``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -190,20 +196,73 @@ def gain_pdf(n_t, n_r, x: float) -> float:
     return 2.0 * math.exp(lg) * bessel_k_scaled(tau, r)
 
 
+# Term cap of the ascending series; it converges far sooner wherever the
+# branch choice sends it.
+_ASCENDING_TERMS = 400
+
+
+class _ShapeTable(NamedTuple):
+    """The x-independent factors of the CDF series for one (n_t >= n_r).
+
+    Each is computed by the expression the series used to evaluate at every
+    x, so reading it from here leaves every result bitwise unchanged.
+    """
+
+    lg_t: float          # lgamma(n_t)
+    lg_r: float          # lgamma(n_r)
+    lg_tau: float        # lgamma(tau), tau > 0 only
+    sgn: float           # (-1)^tau
+    head: tuple          # (tau-k-1)! / (k! (m+k)), k < tau
+    fact: tuple          # 1 / (k! (tau+k)!), k < _ASCENDING_TERMS
+    big_k: tuple         # M + k
+    psi: tuple           # psi(k+1) + psi(tau+k+1) + 1/(M+k)
+    surv: tuple          # (0.5 (n_t+m), lgamma(m+1)), m < n_r
+
+
+@functools.lru_cache(maxsize=256)
+def _shape_table(n_t: int, n_r: int) -> _ShapeTable:
+    tau = n_t - n_r
+    m = n_r
+    head = tuple(math.exp(math.lgamma(tau - k) - math.lgamma(k + 1)) / (m + k)
+                 for k in range(tau))
+    pa = _digamma_int(1)
+    pb = _digamma_int(tau + 1)
+    fact = math.exp(-math.lgamma(tau + 1))
+    facts, big_k, psi = [], [], []
+    for k in range(_ASCENDING_TERMS):
+        facts.append(fact)
+        big_k.append(n_t + k)
+        psi.append(pa + pb + 1.0 / (n_t + k))
+        fact /= (k + 1.0) * (tau + k + 1.0)
+        pa += 1.0 / (k + 1.0)
+        pb += 1.0 / (tau + k + 1.0)
+    return _ShapeTable(
+        lg_t=math.lgamma(n_t),
+        lg_r=math.lgamma(n_r),
+        lg_tau=math.lgamma(tau) if tau else math.nan,
+        sgn=1.0 if tau % 2 == 0 else -1.0,
+        head=head,
+        fact=tuple(facts),
+        big_k=tuple(big_k),
+        psi=tuple(psi),
+        surv=tuple((0.5 * (n_t + j), math.lgamma(j + 1)) for j in range(n_r)),
+    )
+
+
 def _survival(n_t: int, n_r: int, x: float) -> float:
     """P(X > x) as the finite Bessel series, evaluated in scaled form.
 
     Orders n_t - n_r + 1 .. n_t all come from one K_0/K_1 evaluation at
     r = 2 sqrt(x) and one upward recurrence (n_t >= n_r here).
     """
+    tab = _shape_table(n_t, n_r)
     r = 2.0 * math.sqrt(x)
     logx = math.log(x)
     ks = list(itertools.islice(_k_scaled_upward(r), n_t + 1))
     acc = 0.0
-    for m in range(n_r):
-        acc += math.exp(0.5 * (n_t + m) * logx - math.lgamma(m + 1)) * \
-            ks[n_t - m]
-    return 2.0 * math.exp(-r - math.lgamma(n_t)) * acc
+    for m, (half, lg_fact) in enumerate(tab.surv):
+        acc += math.exp(half * logx - lg_fact) * ks[n_t - m]
+    return 2.0 * math.exp(-r - tab.lg_t) * acc
 
 
 def _digamma_int(n: int) -> float:
@@ -214,7 +273,7 @@ def _digamma_int(n: int) -> float:
 
 
 def _cdf_ascending(n_t: int, n_r: int, x: float) -> float:
-    """ln F(x) from the ascending series around x = 0.
+    """ln F(x) from the ascending series around x = 0 (n_t >= n_r).
 
     With m = min, M = max and tau = M - m, the CDF expands as
 
@@ -224,32 +283,25 @@ def _cdf_ascending(n_t: int, n_r: int, x: float) -> float:
                                        + 1/(M+k) - ln x) / (k! (tau+k)! (M+k)).
 
     x^m is factored out so the result is formed in the log domain without
-    underflow; all remaining factors are O(|ln x|) or smaller.
+    underflow; all remaining factors are O(|ln x|) or smaller. Every factor
+    that does not depend on x comes from the shape's table.
     """
-    tau = abs(n_t - n_r)
-    m = min(n_t, n_r)
-    big = max(n_t, n_r)
+    tab = _shape_table(n_t, n_r)
     logx = math.log(x)
     g = 0.0
     fk = 1.0
-    for k in range(tau):
-        g += math.exp(math.lgamma(tau - k) - math.lgamma(k + 1)) / (m + k) * fk
+    for h in tab.head:
+        g += h * fk
         fk *= -x
-    sgn = 1.0 if tau % 2 == 0 else -1.0
-    xt = x ** tau
-    pa = _digamma_int(1)
-    pb = _digamma_int(tau + 1)
-    fact = math.exp(-math.lgamma(tau + 1))
-    for k in range(400):
-        term = xt * fact / (big + k) * (pa + pb + 1.0 / (big + k) - logx)
+    sgn = tab.sgn
+    xt = x ** (n_t - n_r)
+    for k, (fact, bk, c) in enumerate(zip(tab.fact, tab.big_k, tab.psi)):
+        term = xt * fact / bk * (c - logx)
         g += sgn * term
         if k >= 2 and abs(term) < 1e-17 * abs(g):
             break
         xt *= x
-        fact /= (k + 1.0) * (tau + k + 1.0)
-        pa += 1.0 / (k + 1.0)
-        pb += 1.0 / (tau + k + 1.0)
-    return m * logx + math.log(g) - math.lgamma(n_t) - math.lgamma(n_r)
+    return n_r * logx + math.log(g) - tab.lg_t - tab.lg_r
 
 
 # Switch away from 1 - S(x) when the result would be dominated by
@@ -267,12 +319,12 @@ _ASCENDING_F = 0.1
 def _use_ascending(n_t: int, n_r: int, x: float) -> bool:
     if x < _ASCENDING_X:
         return True
-    tau = abs(n_t - n_r)
-    m = min(n_t, n_r)
-    lgg = math.lgamma(n_t) + math.lgamma(n_r)
+    tab = _shape_table(n_t, n_r)
+    m = n_r
+    lgg = tab.lg_t + tab.lg_r
     try:
-        if tau > 0:
-            lead = math.exp(math.lgamma(tau) + m * math.log(x) - lgg) / m
+        if n_t > n_r:
+            lead = math.exp(tab.lg_tau + m * math.log(x) - lgg) / m
         else:
             lead = math.exp(m * math.log(x) - lgg) * max(-math.log(x), 1.0) / m
     except OverflowError:

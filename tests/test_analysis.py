@@ -2,6 +2,7 @@
 product form, the high-SNR asymptote, diversity order and coding gain."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from keyhole_harq.analysis import (
     coding_gain,
     diversity_order,
     exact_outage,
+    outage_curve,
     outage_threshold,
 )
 from keyhole_harq.errors import DomainError, UnsupportedConfigError
@@ -124,6 +126,103 @@ class TestExactOutage:
         assert p.value == 0.0
         assert math.isfinite(p.log_value)
         assert p.log_value < -700.0
+
+
+def _bits(v):
+    return None if v is None else struct.pack("<d", v)
+
+
+def _one_point_logs(n_t, n_r, k, rate, snrs):
+    config = SystemConfig(n_t, n_r, k, rate, snrs)
+    exact = exact_outage(config).log_value
+    try:
+        asy = asymptotic_outage(config).log_value
+    except DomainError:
+        asy = None
+    return _bits(exact), _bits(asy)
+
+
+def _assert_curve_matches_one_point(n_t, n_r, k, points):
+    got = [(_bits(e), _bits(a)) for e, a in outage_curve(n_t, n_r, k, points)]
+    want = [_one_point_logs(n_t, n_r, k, rate, snrs) for rate, snrs in points]
+    assert got == want, (n_t, n_r, k)
+
+
+# -3 dB and 0 dB give square arrays a blank asymptote
+SNR_DB = [-3.0] + [0.5 * i for i in range(141)]
+
+
+class TestOutageCurve:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_snr_axis_equals_one_point_calls(self, k):
+        for n_t in range(1, 17):
+            for n_r in range(1, 17):
+                rate = 0.5 * ((3 * n_t + 5 * n_r + k) % 12)  # 0 included
+                points = [(rate, (10.0 ** (db / 10.0),) * k) for db in SNR_DB]
+                _assert_curve_matches_one_point(n_t, n_r, k, points)
+
+    @pytest.mark.parametrize("n_t,n_r,gammas_db", [
+        (2, 2, (3.0, 9.0)),
+        (2, 2, (-1.0, 7.5, 7.5, 12.0)),
+        (3, 5, (0.0, 4.0, 11.0)),
+        (16, 9, (2.0, 6.0, 2.0, 20.0)),
+        (1, 1, (30.0,)),
+    ])
+    def test_rate_axis_with_mixed_snrs(self, n_t, n_r, gammas_db):
+        # as sweep-rate passes them: the rate changes at every point, the
+        # per-round SNRs stay fixed
+        snrs = tuple(10.0 ** (g / 10.0) for g in gammas_db)
+        points = [(0.25 * i, snrs) for i in range(25)]
+        _assert_curve_matches_one_point(n_t, n_r, len(snrs), points)
+
+    @pytest.mark.parametrize("n,rate", [(2, 515.0), (2, 683.0), (4, 259.0)])
+    def test_overflowing_asymptote_is_none(self, n, rate):
+        points = [(rate, (10.0,))]
+        (_, asy), = outage_curve(n, n, 1, points)
+        assert asy is None
+        _assert_curve_matches_one_point(n, n, 1, points)
+
+    @pytest.mark.parametrize("n_t,n_r,k,points", [
+        (0, 2, 1, [(3.0, (10.0,))]),
+        (2, 2.5, 1, [(3.0, (10.0,))]),
+        (2, 2, 0, [(3.0, ())]),
+        (2, 2, 2, [(3.0, (10.0,))]),
+        (2, 2, 1, [(-1.0, (10.0,))]),
+        (2, 2, 1, [(3.0, (10.0,)), (math.nan, (10.0,))]),
+        (2, 2, 1, [(3.0, (10.0,)), (3.0, (0.0,))]),
+        (2, 2, 1, [(3.0, (10.0,)), (3.0, (math.inf,))]),
+    ])
+    def test_rejects_with_system_config_messages(self, n_t, n_r, k, points):
+        with pytest.raises(ValueError) as want:
+            for rate, snrs in points:
+                SystemConfig(n_t, n_r, k, rate, snrs)
+        with pytest.raises(ValueError) as got:
+            list(outage_curve(n_t, n_r, k, points))
+        assert str(got.value) == str(want.value)
+
+    def test_asymptote_keeps_one_point_grouping(self):
+        # the pre-curve per-point expressions, evaluated in full at each
+        # point: hoisting the shape constants must not move a bit
+        for n_t in range(1, 17):
+            for n_r in range(1, 17):
+                tau, m = abs(n_t - n_r), min(n_t, n_r)
+                for snr in (1.5, 10.0, 1e3, 1e7):
+                    t = n_t * (2.0 ** 2.5 - 1.0) / snr
+                    if tau == 0:
+                        want = (n_t * math.log(t) + math.log(math.log(snr))
+                                - math.log(n_t) - 2.0 * math.lgamma(n_t))
+                    else:
+                        want = (math.lgamma(tau) - math.lgamma(n_t)
+                                - math.lgamma(n_r) + m * math.log(t)
+                                - math.log(m))
+                    config = SystemConfig.equal_snr(n_t, n_r, 1, 2.5, snr)
+                    got = asymptotic_outage(config).log_value
+                    assert _bits(got) == _bits(0.0 + want), (n_t, n_r, snr)
+
+    def test_exact_errors_propagate(self):
+        # an outage threshold past float64 is an error of the exact column
+        with pytest.raises(DomainError, match="outage threshold"):
+            list(outage_curve(2, 2, 1, [(3.0, (10.0,)), (1024.0, (10.0,))]))
 
 
 class TestAsymptoticOutage:

@@ -1,12 +1,15 @@
 """CLI tests: range parsing, the fixed CSV schema, JSON mirrors, exit codes,
 and agreement between emitted files and direct library calls."""
 
+import csv
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from keyhole_harq import __version__
+from keyhole_harq import __version__, analysis, cli, montecarlo, specfun
 from keyhole_harq.analysis import asymptotic_outage, coding_gain, exact_outage
 from keyhole_harq.cli import (
     CSV_HEADER,
@@ -16,13 +19,31 @@ from keyhole_harq.cli import (
     main,
     parse_gamma_db,
     parse_range,
-    read_curve_csv,
     write_curve_csv,
 )
 from keyhole_harq.keyhole import SystemConfig
 from keyhole_harq.montecarlo import simulate_outage
 
 EXPECTED_HEADER = "axis,exact,asymptotic,simulated,ci_low,ci_high,log10_exact"
+
+
+def read_curve_csv(path, axis_name: str = "axis") -> CurveResult:
+    """Parse a file produced by ``write_curve_csv``.
+
+    The fixed CSV header cannot carry the axis name, so it is supplied by
+    the caller (the JSON mirror records it in metadata).
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or tuple(rows[0]) != CSV_HEADER:
+        raise ValueError(f"unexpected header in {path}: {rows[:1]!r}")
+    points = []
+    for row in rows[1:]:
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"malformed row {row!r}")
+        vals = [None if cell == "" else float(cell) for cell in row]
+        points.append(CurvePoint(*vals))
+    return CurveResult(axis_name=axis_name, points=tuple(points))
 
 
 class TestParsing:
@@ -317,6 +338,98 @@ class TestDomainEdges:
             lines = err.splitlines()
             assert len(lines) == 1
             assert lines[0].startswith("error: " + quantity)
+
+
+    def test_overflow_mid_grid_writes_nothing(self, tmp_path, capsys):
+        # 3000 and 3050 dB convert, 3100 dB does not: the whole command fails
+        out = tmp_path / "s.csv"
+        assert main(["sweep-snr", "--snr-db", "3000:50:3100",
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: SNR")
+        assert not out.exists()
+
+
+class TestParserReuse:
+    # each step: argv, then the files it writes, relative to its --out
+    STEPS = [
+        (["sweep-snr", "--nt", "2", "--nr", "3", "--k", "2",
+          "--snr-db", "0:10:30", "--json"], [".csv", ".json"]),
+        (["sweep-snr", "--nt", "2", "--nr", "3", "--k", "2",
+          "--snr-db", "0:10:30"], [".csv"]),
+        (["sweep-rate", "--k", "2", "--rate", "1:1:3", "--gamma-db", "3,9",
+          "--trials", "1000", "--seed", "4", "--lanes", "1"], [".csv"]),
+        (["sweep-rate", "--k", "2", "--rate", "1:1:3", "--gamma-db", "3,9"],
+         [".csv"]),
+        (["simulate", "--trials", "2000", "--seed", "3", "--json",
+          "--lanes", "1"], [".csv"]),
+        (["coding-gain", "--rate", "1:1:3"], [".csv"]),
+        (["sweep-snr", "--snr-db", "5:5:15"], [".csv"]),
+    ]
+
+    def _run(self, tmp_path, fresh: bool) -> tuple:
+        got = []
+        for i, (argv, suffixes) in enumerate(self.STEPS):
+            if fresh:
+                cli._parser.cache_clear()
+            out = tmp_path / f"step{i}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            got.append([out.with_suffix(sfx).read_bytes() for sfx in suffixes])
+        written = sorted(p.name for p in tmp_path.iterdir())
+        return got, written
+
+    def test_back_to_back_calls_match_fresh_parsers(self, tmp_path):
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "reused").mkdir()
+        want = self._run(tmp_path / "fresh", fresh=True)
+        cli._parser.cache_clear()
+        assert self._run(tmp_path / "reused", fresh=False) == want
+
+    def test_parser_built_once(self, monkeypatch, tmp_path):
+        built = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or original())
+        cli._parser.cache_clear()
+        for argv, _ in self.STEPS[:3]:
+            assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+        assert len(built) == 1
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        argv = ["sweep-snr", "--snr-db", "5:5:15"]
+        assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep-snr", "--bogus"])
+        assert exc_info.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["sweep-rate", "--rate"])
+        assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert ((tmp_path / "a.csv").read_bytes()
+                == (tmp_path / "b.csv").read_bytes())
+
+
+class TestBenchmarkTracer:
+    def test_tracer_counts_one_sweep(self, monkeypatch, tmp_path):
+        # perfbench/tracing.py rebinds module attributes of the package;
+        # a rename there would surface as an AttributeError at install
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        for name in ("tracing", "workloads"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        import tracing
+
+        modules = (cli, analysis, specfun, montecarlo)
+        before = [dict(vars(m)) for m in modules]
+        tracer = tracing.Tracer()
+        tracer.install(*modules)
+        try:
+            assert main(["sweep-snr", "--snr-db", "0:2.5:70",
+                         "--out", str(tmp_path / "c.csv")]) == 0
+        finally:
+            tracer.uninstall()
+        assert [dict(vars(m)) for m in modules] == before
+        assert tracer.stats["cli.write_curve_csv"].work == 29
+        assert tracer.stats["specfun.meijer_g_log_cdf"].calls == 29
 
 
 class TestArgparseBehavior:

@@ -61,3 +61,27 @@ def test_simulate_seed_7(tmp_path, lanes):
     assert_same_bytes(out.read_bytes(),
                       (DATA / "simulate_seed7.txt").read_bytes(),
                       f"simulate --seed 7 --lanes {lanes}")
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_simulated_columns(tmp_path, lanes):
+    # pins the simulated, ci_low and ci_high cells of a curve
+    out = tmp_path / "sim.csv"
+    assert main(["sweep-snr", "--nt", "2", "--nr", "3", "--k", "2",
+                 "--snr-db", "0:5:30", "--trials", "2000", "--seed", "5",
+                 "--lanes", str(lanes), "--out", str(out)]) == 0
+    assert_same_bytes(out.read_bytes(),
+                      (DATA / "sweep_snr_2x3_k2_sim.csv").read_bytes(),
+                      f"sweep-snr --trials 2000 --lanes {lanes}")
+
+
+def test_json_mirror(tmp_path):
+    # --lanes is fixed because the metadata records it; the 0 dB point of
+    # this square array carries a null asymptote
+    out = tmp_path / "curve.csv"
+    assert main(["sweep-snr", "--nt", "4", "--nr", "4", "--k", "2",
+                 "--snr-db", "0:5:30", "--lanes", "1", "--out", str(out),
+                 "--json"]) == 0
+    assert_same_bytes(out.with_suffix(".json").read_bytes(),
+                      (DATA / "sweep_snr_4x4_k2.json").read_bytes(),
+                      "sweep-snr --json mirror")

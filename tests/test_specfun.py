@@ -9,6 +9,7 @@ with mpmath (``package_pdf_integral``).
 
 import itertools
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,44 @@ class TestGainCdf:
                 * bessel_k_scaled(abs(n_t - m), r)
         want = 2.0 * math.exp(-r - math.lgamma(n_t)) * acc
         assert specfun._survival(n_t, n_r, x) == want
+
+    @pytest.mark.parametrize("x", [1e-9, 1e-4, 0.03, 0.7, 5.0, 40.0])
+    def test_ascending_equals_untabled_series(self, x):
+        # the series as it was before the per-shape tables: every factor
+        # recomputed at each x
+        def untabled(n_t, n_r, x):
+            tau, m, big = n_t - n_r, n_r, n_t
+            logx = math.log(x)
+            g, fk = 0.0, 1.0
+            for k in range(tau):
+                g += (math.exp(math.lgamma(tau - k) - math.lgamma(k + 1))
+                      / (m + k) * fk)
+                fk *= -x
+            sgn = 1.0 if tau % 2 == 0 else -1.0
+            xt = x ** tau
+            pa = -0.5772156649015328606
+            pb = -0.5772156649015328606
+            for j in range(1, tau + 1):
+                pb += 1.0 / j
+            fact = math.exp(-math.lgamma(tau + 1))
+            for k in range(400):
+                term = xt * fact / (big + k) * (pa + pb + 1.0 / (big + k)
+                                                - logx)
+                g += sgn * term
+                if k >= 2 and abs(term) < 1e-17 * abs(g):
+                    break
+                xt *= x
+                fact /= (k + 1.0) * (tau + k + 1.0)
+                pa += 1.0 / (k + 1.0)
+                pb += 1.0 / (tau + k + 1.0)
+            return m * logx + math.log(g) - math.lgamma(n_t) - math.lgamma(n_r)
+
+        for n_t in range(1, 21):
+            for n_r in range(1, n_t + 1):
+                got = specfun._cdf_ascending(n_t, n_r, x)
+                want = untabled(n_t, n_r, x)
+                assert struct.pack("<d", got) == struct.pack("<d", want), \
+                    (n_t, n_r)
 
     def test_survival_cdf_evaluates_k0_k1_once(self, monkeypatch):
         calls = []
