@@ -167,6 +167,14 @@ def _emit_curve(args, curve: CurveResult, metadata: dict) -> int:
     return 0
 
 
+def _run_metadata(args) -> dict:
+    """The run flags of a curve command; seed and lanes are null when no
+    column is simulated, so they cannot vary the mirror's bytes."""
+    sim = args.trials > 0
+    return {"trials": args.trials, "seed": args.seed if sim else None,
+            "lanes": args.lanes if sim else None}
+
+
 def _cmd_sweep_snr(args) -> int:
     axis = parse_range(args.snr_db)
     points = _curve_points(
@@ -176,7 +184,7 @@ def _cmd_sweep_snr(args) -> int:
         "command": "sweep-snr",
         "n_t": args.nt, "n_r": args.nr, "k_rounds": args.k,
         "rate": args.rate, "snr_db": args.snr_db,
-        "trials": args.trials, "seed": args.seed, "lanes": args.lanes,
+        **_run_metadata(args),
     }
     return _emit_curve(args, curve, meta)
 
@@ -190,7 +198,7 @@ def _cmd_sweep_rate(args) -> int:
         "command": "sweep-rate",
         "n_t": args.nt, "n_r": args.nr, "k_rounds": args.k,
         "gamma_db": args.gamma_db, "rate": args.rate,
-        "trials": args.trials, "seed": args.seed, "lanes": args.lanes,
+        **_run_metadata(args),
     }
     return _emit_curve(args, curve, meta)
 
@@ -290,11 +298,19 @@ def _add_antenna_flags(p, k_default=3):
     p.add_argument("--k", type=int, default=k_default, help="HARQ rounds")
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_run_flags(p, trials_default):
     p.add_argument("--trials", type=int, default=trials_default,
                    help="Monte Carlo trials per point (0 disables)")
     p.add_argument("--seed", type=int, default=1, help="simulation seed")
-    p.add_argument("--lanes", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--lanes", type=int, default=_usable_cores(),
                    help="parallel lanes (does not affect results)")
 
 

@@ -4,6 +4,7 @@ and agreement between emitted files and direct library calls."""
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -267,6 +268,31 @@ class TestDiversity:
         assert rc == 2
 
 
+class TestRunFlags:
+    def test_lanes_default_is_usable_cores(self):
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        parser = cli.build_parser()
+        for command in ("sweep-snr", "sweep-rate", "diversity", "simulate"):
+            assert parser.parse_args([command]).lanes == cores
+
+    def test_curve_json_records_seed_and_lanes_only_when_simulating(
+            self, tmp_path):
+        base = ["sweep-rate", "--rate", "1:1:2", "--seed", "4", "--lanes", "2",
+                "--json"]
+        assert main(base + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert main(base + ["--trials", "1000",
+                            "--out", str(tmp_path / "b.csv")]) == 0
+        analytic = json.loads((tmp_path / "a.json").read_text())["metadata"]
+        simulated = json.loads((tmp_path / "b.json").read_text())["metadata"]
+        assert (analytic["trials"], analytic["seed"], analytic["lanes"]) == (
+            0, None, None)
+        assert (simulated["trials"], simulated["seed"],
+                simulated["lanes"]) == (1000, 4, 2)
+
+
 class TestSimulate:
     def test_deterministic_json(self, capsys):
         argv = [
@@ -409,7 +435,10 @@ class TestParserReuse:
 
 
 class TestBenchmarkTracer:
-    def test_tracer_counts_one_sweep(self, monkeypatch, tmp_path):
+    @staticmethod
+    def _traced(monkeypatch, argv):
+        """Run ``main(argv)`` under an unedited perfbench/tracing.py Tracer;
+        the package's module attributes must come back unchanged."""
         # perfbench/tracing.py rebinds module attributes of the package;
         # a rename there would surface as an AttributeError at install
         perfbench = Path(__file__).resolve().parents[1] / "perfbench"
@@ -423,13 +452,32 @@ class TestBenchmarkTracer:
         tracer = tracing.Tracer()
         tracer.install(*modules)
         try:
-            assert main(["sweep-snr", "--snr-db", "0:2.5:70",
-                         "--out", str(tmp_path / "c.csv")]) == 0
+            assert main(argv) == 0
         finally:
             tracer.uninstall()
         assert [dict(vars(m)) for m in modules] == before
+        return tracer
+
+    def test_tracer_counts_one_sweep(self, monkeypatch, tmp_path):
+        tracer = self._traced(monkeypatch, [
+            "sweep-snr", "--snr-db", "0:2.5:70",
+            "--out", str(tmp_path / "c.csv")])
         assert tracer.stats["cli.write_curve_csv"].work == 29
         assert tracer.stats["specfun.meijer_g_log_cdf"].calls == 29
+
+    def test_tracer_sees_every_simulator_batch(self, monkeypatch, tmp_path):
+        # the simulator's lanes must keep calling the module-level
+        # sample_round_gains, or the traced draw metrics go blind
+        trials = 5 * montecarlo._BATCH + 3
+        tracer = self._traced(monkeypatch, [
+            "simulate", "--trials", str(trials), "--lanes", "2",
+            "--out", str(tmp_path / "s.txt")])
+        draws = tracer.stats["montecarlo.sample_round_gains"]
+        assert draws.work == trials
+        lane = -(-trials // 2)
+        assert draws.calls == 2 * -(-lane // montecarlo._BATCH)
+        assert tracer.stats["montecarlo.simulate_outage"].calls == 1
+        assert 0.0 < tracer.lane_busy_s <= tracer.lane_capacity_s
 
 
 class TestArgparseBehavior:

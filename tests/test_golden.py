@@ -76,8 +76,7 @@ def test_simulated_columns(tmp_path, lanes):
 
 
 def test_json_mirror(tmp_path):
-    # --lanes is fixed because the metadata records it; the 0 dB point of
-    # this square array carries a null asymptote
+    # the 0 dB point of this square array carries a null asymptote
     out = tmp_path / "curve.csv"
     assert main(["sweep-snr", "--nt", "4", "--nr", "4", "--k", "2",
                  "--snr-db", "0:5:30", "--lanes", "1", "--out", str(out),
@@ -85,3 +84,20 @@ def test_json_mirror(tmp_path):
     assert_same_bytes(out.with_suffix(".json").read_bytes(),
                       (DATA / "sweep_snr_4x4_k2.json").read_bytes(),
                       "sweep-snr --json mirror")
+
+
+def test_json_mirror_ignores_unused_run_flags(tmp_path):
+    # without simulated columns, seed and lanes are written as null, so the
+    # mirror's bytes do not depend on them or on the machine's core count
+    out = tmp_path / "curve.csv"
+    assert main(["sweep-snr", "--nt", "4", "--nr", "4", "--k", "2",
+                 "--snr-db", "0:5:30", "--seed", "99", "--lanes", "3",
+                 "--out", str(out), "--json"]) == 0
+    assert main(["sweep-snr", "--nt", "4", "--nr", "4", "--k", "2",
+                 "--snr-db", "0:5:30", "--out", str(tmp_path / "d.csv"),
+                 "--json"]) == 0
+    want = (DATA / "sweep_snr_4x4_k2.json").read_bytes()
+    assert_same_bytes(out.with_suffix(".json").read_bytes(), want,
+                      "sweep-snr --json --seed 99 --lanes 3")
+    assert_same_bytes((tmp_path / "d.json").read_bytes(), want,
+                      "sweep-snr --json, default run flags")

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
-from keyhole_harq.analysis import exact_outage
+from keyhole_harq import montecarlo
+from keyhole_harq.analysis import exact_outage, outage_threshold
 from keyhole_harq.errors import SimulationInfeasibleError
 from keyhole_harq.keyhole import SystemConfig
 from keyhole_harq.montecarlo import (
@@ -40,6 +42,81 @@ class TestSampleRoundGains:
         sigma = math.sqrt(4.0 * 5.0 / 200_000)
         for j in range(3):
             assert abs(float(g[:, j].mean()) - 4.0) < 4.0 * sigma
+
+    def test_bitwise_equals_row_sums(self):
+        # the gains keep the arithmetic of negated logs summed with
+        # .sum(axis=2), written out here in full; 129 and 200 reach numpy's
+        # recursive halving, 8..40 its eight accumulators
+        shapes = list(range(1, 41)) + [129, 200]
+        bad = []
+        for n_t in shapes:
+            for n_r in shapes:
+                for k in range(1, 5):
+                    got = sample_round_gains(n_t, n_r, k, 5, 17, 1001)
+                    want = _row_sum_gains(n_t, n_r, k, 5, 17, 1001)
+                    if got.tobytes() != want.tobytes():
+                        bad.append((n_t, n_r, k))
+        assert bad == []
+
+    def test_fold_matches_numpy_grouping(self):
+        # every branch of _sum, and the sizes around its 8 and 128 limits
+        rng = np.random.default_rng(0)
+        for n in [*range(1, 41), 64, 127, 128, 129, 130, 200, 257]:
+            a = np.log1p(-rng.random((64, n)))
+            got = montecarlo._sum([a[:, j] for j in range(n)])
+            assert got.tobytes() == a.sum(axis=1).tobytes(), n
+
+
+def _row_sum_gains(n_t, n_r, rounds, trials, seed, first_trial):
+    """The gain arithmetic as first written: positive exponentials, one
+    numpy reduction per round and side."""
+    d = rounds * (n_t + n_r)
+    pad = -4 * (-d // 4)
+    bitgen = Philox(key=seed)
+    bitgen.advance(first_trial * (pad // 4))
+    u = Generator(bitgen).random((trials, pad))
+    e = -np.log1p(-u[:, :d].reshape(trials, rounds, n_t + n_r))
+    return e[:, :, :n_r].sum(axis=2) * e[:, :, n_r:].sum(axis=2)
+
+
+class TestCountFailures:
+    """The column-wise count against ``np.all(g < thresholds, axis=1)``."""
+
+    def _check(self, n_t, n_r, thresholds, trials, first=0, seed=6):
+        thresholds = np.array(thresholds, dtype=float)
+        k = len(thresholds)
+        config = SystemConfig.equal_snr(n_t, n_r, k, 1.0, 1.0)
+        g = sample_round_gains(n_t, n_r, k, trials, seed, first)
+        want = int(np.count_nonzero(np.all(g < thresholds, axis=1)))
+        got = montecarlo._count_failures(config, thresholds, first, trials,
+                                         seed)
+        assert got == want
+        return want
+
+    def test_threshold_equal_to_a_drawn_gain(self):
+        # strict comparison: the trial whose gain equals its threshold
+        # does not fail, in the first round and in a later one
+        g = sample_round_gains(2, 3, 2, 4000, 6, 50)
+        for col in (0, 1):
+            thr = [np.inf, np.inf]
+            thr[col] = g[123, col]
+            n = self._check(2, 3, thr, 4000, first=50)
+            assert n == int(np.count_nonzero(g[:, col] < g[123, col]))
+            thr[col] = np.nextafter(thr[col], np.inf)
+            assert self._check(2, 3, thr, 4000, first=50) == n + 1
+
+    def test_zero_and_infinite_thresholds(self):
+        trials = 2 * montecarlo._BATCH + 5
+        assert self._check(1, 2, [0.0], trials) == 0
+        assert self._check(1, 2, [np.inf], trials) == trials
+        assert self._check(2, 2, [np.inf, 0.0, np.inf], trials) == 0
+        assert self._check(2, 2, [np.inf] * 4, trials) == trials
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_mixed_round_thresholds(self, k):
+        thr = [1.0, 6.0, 2.5, 4.0][:k]
+        n = self._check(2, 2, thr, 3 * montecarlo._BATCH + 11, first=7)
+        assert n > 0
 
 
 class TestSimulateOutage:
@@ -82,11 +159,18 @@ class TestSimulateOutage:
         assert r.failures == simulate_outage(config, 112_689, seed=13).failures
 
     def test_batching_invariance(self):
-        # trial counts beyond one internal batch reuse the same substreams
+        # several whole internal batches plus a remainder, split so that
+        # every lane crosses batch boundaries: the count equals one
+        # unbatched pass over the same trials
         config = SystemConfig.equal_snr(1, 1, 1, 1.0, 1.0)
-        big = simulate_outage(config, (1 << 16) + 17, seed=3)
-        again = simulate_outage(config, (1 << 16) + 17, seed=3, lanes=5)
-        assert big.failures == again.failures
+        trials = 11 * montecarlo._BATCH + 17
+        g = sample_round_gains(1, 1, 1, trials, seed=3)
+        want = int(np.count_nonzero(np.all(g < outage_threshold(config, 1),
+                                           axis=1)))
+        assert 0 < want < trials
+        for lanes in (1, 2, 5):
+            r = simulate_outage(config, trials, seed=3, lanes=lanes)
+            assert r.failures == want, lanes
 
     def test_low_confidence_flag(self):
         config = SystemConfig.equal_snr(2, 2, 1, 1.0, 300.0)
