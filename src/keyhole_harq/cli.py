@@ -5,10 +5,13 @@ Curve commands emit CSV with the fixed header
 ``axis,exact,asymptotic,simulated,ci_low,ci_high,log10_exact`` (17
 significant digits, empty cells where a column does not apply) and, with
 --json, a JSON mirror carrying run metadata. sweep-snr and sweep-rate
-evaluate their analytic columns in one ``outage_curve`` pass over the axis,
-and build a ``SystemConfig`` per point only for the simulated columns. The
-argument parser is built once per process and reused by every ``main``
-call. Exit codes: 0 success, 2 usage or validation error.
+evaluate their analytic columns with one eager ``outage_curve`` call over
+the axis, build the rows from its lists of Python floats, and build a
+``SystemConfig`` per point only for the simulated columns. Each CSV row is
+one %-template chosen by the curve's blank cells, the same bytes as
+formatting cell by cell. The argument parser is built once per process and
+reused by every ``main`` call. Exit codes: 0 success, 2 usage or validation
+error, including an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -92,19 +95,43 @@ def parse_gamma_db(text: str, k_rounds: int) -> tuple:
     return tuple(db_to_linear(v) for v in vals)
 
 
+def _open_out(path, newline=None):
+    """--out opened for writing; a path that cannot be written is a usage
+    error, so the command exits 2 with one line instead of a traceback."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
+
+
 def write_curve_csv(path, curve: CurveResult) -> None:
     if path is None:
         _write_csv_rows(sys.stdout, curve)
         return
-    with open(path, "w", newline="") as fh:
+    with _open_out(path, newline="") as fh:
         _write_csv_rows(fh, curve)
 
 
 def _write_csv_rows(fh, curve: CurveResult) -> None:
-    # csv.writer's dialect: CRLF rows; no cell ever needs quoting
+    # csv.writer's dialect: CRLF rows; no cell ever needs quoting. Every row
+    # is one %-template chosen by the blank cells: a column blank in every
+    # row is an empty cell, a column blank in none a %.17g cell, and a column
+    # blank in some rows is formatted cell by cell and inserted with %s.
+    cells, columns = [], []
+    for col in zip(*curve.points):
+        blanks = col.count(None)
+        if blanks == len(col):
+            cells.append("")
+        elif blanks:
+            cells.append("%s")
+            columns.append(["" if v is None else "%.17g" % v for v in col])
+        else:
+            cells.append("%.17g")
+            columns.append(col)
+    template = ",".join(cells)
     lines = [",".join(CSV_HEADER)]
-    lines += [",".join(["" if v is None else f"{v:.17g}" for v in p])
-              for p in curve.points]
+    lines += [template % row for row in zip(*columns)]
     lines.append("")
     fh.write("\r\n".join(lines))
 
@@ -115,9 +142,14 @@ def write_curve_json(path, curve: CurveResult, metadata: dict) -> None:
                          tool_version=__version__),
         "points": [p._asdict() for p in curve.points],
     }
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _write_text(path, text: str) -> None:
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _config_metadata(config: SystemConfig) -> dict:
@@ -140,21 +172,24 @@ def _sim_columns(config: SystemConfig, trials: int, seed: int, lanes: int):
 def _curve_points(args, axis: list, point) -> tuple:
     """One row per axis value; ``point(x)`` is its (rate, snr_per_round).
 
-    The analytic columns come from one pass of ``outage_curve`` over the
-    axis; a ``SystemConfig`` is built only for the simulated columns.
+    The analytic columns come from one eager ``outage_curve`` evaluation
+    over the axis; a ``SystemConfig`` is built only for the simulated
+    columns.
     """
-    rows = []
-    curve = outage_curve(args.nt, args.nr, args.k, map(point, axis))
-    for x, (log_p, log_asy) in zip(axis, curve):
-        sim = lo = hi = None
-        if args.trials > 0:
-            config = SystemConfig(args.nt, args.nr, args.k, *point(x))
-            sim, lo, hi = _sim_columns(config, args.trials, args.seed,
-                                       args.lanes)
-        rows.append(CurvePoint(
-            x, math.exp(log_p), None if log_asy is None else math.exp(log_asy),
-            sim, lo, hi, log_p / _LN10))
-    return tuple(rows)
+    log_exact, log_asy = zip(*outage_curve(args.nt, args.nr, args.k,
+                                           map(point, axis)))
+    exact = list(map(math.exp, log_exact))
+    asy = [None if v is None else math.exp(v) for v in log_asy]
+    log10 = [v / _LN10 for v in log_exact]
+    n = len(axis)
+    sim = lo = hi = (None,) * n
+    if args.trials > 0:
+        sim, lo, hi = zip(*(
+            _sim_columns(SystemConfig(args.nt, args.nr, args.k, *point(x)),
+                         args.trials, args.seed, args.lanes)
+            for x in axis))
+    return tuple(map(CurvePoint._make,
+                     zip(axis, exact, asy, sim, lo, hi, log10)))
 
 
 def _emit_curve(args, curve: CurveResult, metadata: dict) -> int:
@@ -229,6 +264,7 @@ def _cmd_diversity(args) -> int:
         seed=args.seed, lanes=args.lanes,
     )
     gap = abs(fitted - d) / d
+    sim = args.method == "simulation"
     doc = {
         "analytic_diversity_order": d,
         "fitted_slope": fitted,
@@ -237,8 +273,11 @@ def _cmd_diversity(args) -> int:
             "command": "diversity", "method": args.method,
             "n_t": args.nt, "n_r": args.nr, "k_rounds": args.k,
             "rate": args.rate, "snr_db": args.snr_db,
-            "trials": args.trials if args.method == "simulation" else None,
-            "seed": args.seed, "lanes": args.lanes,
+            # null where they cannot vary a value, so an exact report's
+            # bytes do not depend on the machine's core count
+            "trials": args.trials if sim else None,
+            "seed": args.seed if sim else None,
+            "lanes": args.lanes if sim else None,
             "tool_version": __version__,
         },
     }
@@ -252,7 +291,7 @@ def _cmd_diversity(args) -> int:
             f"relative gap: {100.0 * gap:.3g}%"
         )
     if args.out:
-        Path(args.out).write_text(out + "\n")
+        _write_text(args.out, out + "\n")
     else:
         print(out)
     return 0
@@ -286,7 +325,7 @@ def _cmd_simulate(args) -> int:
             f"low_confidence: {'yes' if r.low_confidence else 'no'}"
         )
     if args.out:
-        Path(args.out).write_text(out + "\n")
+        _write_text(args.out, out + "\n")
     else:
         print(out)
     return 0

@@ -1,14 +1,14 @@
-"""Scalar special-function kernel used by the outage calculators.
+"""Special-function kernel used by the outage calculators.
 
-Everything here is plain float64 arithmetic on the standard library's
-``math`` module, with explicit accuracy targets:
+The public functions are plain float64 arithmetic on the standard library's
+``math`` module, one point per call, with explicit accuracy targets:
 
 * ``bessel_k_scaled``: exponentially scaled modified Bessel function of the
   second kind for integer orders, relative error <= 1e-12 for x in
   [1e-8, 30] and orders up to 16. Orders 0 and 1 come from an ascending
   series (x <= 2) or Chebyshev fits of sqrt(x) e^x K_nu(x) (x > 2); higher
   orders use the upward recurrence, which is stable for this function.
-  ``bessel_k_scaled`` and the survival series share one generator of the
+  ``bessel_k_scaled`` and the survival series share one walk of the
   orders, so a survival CDF evaluates K_0 and K_1 once, at r = 2 sqrt(x),
   and walks the recurrence once up to order n_t.
 * ``gain_pdf`` / ``meijer_g_cdf``: density and distribution function of the
@@ -23,6 +23,20 @@ Everything here is plain float64 arithmetic on the standard library's
   once per shape and kept in a bounded LRU table, so an evaluation at x does
   only the x-dependent arithmetic, in the same grouping as before.
 
+A whole curve evaluates through the private array forms (``_log_cdf_many``
+and the ``*_many`` helpers it calls): the branch choice, both series and the
+K_0/K_1 evaluation over a float64 array of x. Each value is bitwise the
+one-point value. Only IEEE-exact operations run in numpy (``+ - * /``,
+``sqrt``, ``abs``, comparisons, ``maximum``), elementwise and in the
+one-point code's left-to-right grouping; every exp, log, log1p and ``**``
+goes through ``math`` one element at a time (``_each``), because numpy's
+vectorised ones may differ in the last bit. No series sum uses a numpy
+reduction: a term loop adds one term per step to every live point, and a
+point leaves the live set at the very term where the one-point loop stops.
+``_clenshaw`` and the upward recurrence are written once and take floats or
+arrays. A one-element array call costs far more than a one-point call, so
+``meijer_g_log_cdf`` stays scalar.
+
 The density is not integrated here: the tests check the CDF against an
 mpmath quadrature of ``gain_pdf``.
 """
@@ -35,6 +49,8 @@ import math
 import operator
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError
 
 EULER = 0.5772156649015328606
@@ -45,6 +61,29 @@ __all__ = [
     "meijer_g_cdf",
     "meijer_g_log_cdf",
 ]
+
+
+def _each(fn, a, on_error: float = math.nan):
+    """fn, a ``math`` function of one float, at each element of the float64
+    array a, one element at a time.
+
+    numpy's own exp, log, log1p and power may differ from ``math`` in the
+    last bit, so the array path takes every transcendental from here. An
+    element where fn raises gets on_error.
+    """
+    vals = a.ravel().tolist()
+    try:
+        out = np.fromiter(map(fn, vals), float, len(vals))
+    except (OverflowError, ValueError):
+        out = np.array([_or(fn, v, on_error) for v in vals], dtype=float)
+    return out.reshape(a.shape)
+
+
+def _or(fn, v: float, on_error: float) -> float:
+    try:
+        return fn(v)
+    except (OverflowError, ValueError):
+        return on_error
 
 
 # Chebyshev coefficients of sqrt(x) e^x K_nu(x) in s = 4/x - 1, x in [2, inf).
@@ -73,9 +112,13 @@ _K1E_CHEB = (
     1.8380935752430455e-16, -5.689462849193648e-17, 1.7940510478863572e-17,
     -5.7567444820733025e-18, 1.8778651901623268e-18,
 )
+# Both fits as one column pair per term: one Clenshaw walk over a
+# (2, n) array gives e^x K_0 and e^x K_1 at n arguments.
+_K01E_CHEB = tuple(np.array([[a], [b]]) for a, b in zip(_K0E_CHEB, _K1E_CHEB))
 
 
-def _clenshaw(coefs: tuple, s: float) -> float:
+def _clenshaw(coefs: tuple, s):
+    """Chebyshev sum at s, a float or an array."""
     s2 = 2.0 * s  # 2.0 * s * b1 groups as (2.0 * s) * b1: same bits
     b1 = 0.0
     b2 = 0.0
@@ -112,12 +155,81 @@ def _k01_small(x: float) -> tuple:
     return k0, k1
 
 
+def _k01_small_steps() -> tuple:
+    """Per term k of ``_k01_small``: the divisors (k^2, k (k+1)) of u and
+    the weights (H_k, psum_k) of its two sums, each as a column pair, in
+    the scalar loop's arithmetic."""
+    steps = []
+    h = 0.0
+    psum = 1.0 - 2.0 * EULER
+    for k in range(1, 64):
+        h += 1.0 / k
+        psum += 1.0 / k + 1.0 / (k + 1)
+        steps.append((np.array([[k * k], [k * (k + 1)]], dtype=float),
+                      np.array([[h], [psum]])))
+    return tuple(steps)
+
+
+_K01_SMALL_STEPS = _k01_small_steps()
+
+
+def _k01_small_many(x):
+    """``_k01_small`` at each element of the array x.
+
+    The series pairs (t0, t1), (i0, i1s) and (s0, s1) step as one array
+    each. An element leaves the live set at the term where the scalar loop
+    breaks, so every sum has exactly the scalar's terms.
+    """
+    u = 0.25 * x * x
+    lh = _each(math.log, 0.5 * x)
+    # live rows: t0, t1, i0, i1s, s0, s1, u
+    live = np.ones((7, x.size))
+    live[4] = 0.0
+    live[5] = 1.0 - 2.0 * EULER
+    live[6] = u
+    idx = np.arange(x.size)
+    sums = np.empty((4, x.size))
+    for div, weight in _K01_SMALL_STEPS:
+        t, i, s = live[0:2], live[2:4], live[4:6]
+        t *= live[6] / div
+        i += t
+        s += t * weight
+        done = t[0] < 1e-18 * i[0]
+        if np.count_nonzero(done):
+            sums[:, idx[done]] = live[2:6, done]
+            keep = ~done
+            live, idx = live[:, keep], idx[keep]
+            if not idx.size:
+                break
+    else:
+        sums[:, idx] = live[2:6]
+    i0, i1s, s0, s1 = sums
+    k0 = -(lh + EULER) * i0 + s0
+    k1 = 1.0 / x + (0.5 * x) * (lh * i1s - 0.5 * s1)
+    return k0, k1
+
+
+def _upward(k0, k1, x):
+    """Yield k0, k1 = e^x K_0(x), e^x K_1(x), then e^x K_2(x), ...
+
+    Every higher order comes from the upward recurrence
+    K_{n+1} = K_{n-1} + (2n/x) K_n: all terms positive, so no cancellation;
+    K is the dominant solution in this direction. x, k0 and k1 are floats
+    or arrays of one shape.
+    """
+    yield k0
+    km, kc = k0, k1
+    nu = 1
+    while True:
+        yield kc
+        km, kc = kc, km + (2.0 * nu / x) * kc
+        nu += 1
+
+
 def _k_scaled_upward(x: float):
     """Yield e^x K_0(x), e^x K_1(x), e^x K_2(x), ... for x > 0.
 
-    K_0 and K_1 are evaluated once; every higher order comes from the upward
-    recurrence K_{n+1} = K_{n-1} + (2n/x) K_n: all terms positive, so no
-    cancellation; K is the dominant solution in this direction.
+    K_0 and K_1 are evaluated once; ``_upward`` walks the higher orders.
     """
     if x <= 2.0:
         k0, k1 = _k01_small(x)
@@ -129,13 +241,27 @@ def _k_scaled_upward(x: float):
         s = 4.0 / x - 1.0
         k0 = _clenshaw(_K0E_CHEB, s) * rs
         k1 = _clenshaw(_K1E_CHEB, s) * rs
-    yield k0
-    km, kc = k0, k1
-    nu = 1
-    while True:
-        yield kc
-        km, kc = kc, km + (2.0 * nu / x) * kc
-        nu += 1
+    return _upward(k0, k1, x)
+
+
+def _k_scaled_upward_many(x):
+    """``_k_scaled_upward`` at each element of the array x."""
+    k0 = np.empty_like(x)
+    k1 = np.empty_like(x)
+    small = x <= 2.0
+    xs = x[small]
+    if xs.size:
+        a, b = _k01_small_many(xs)
+        e = _each(math.exp, xs)
+        k0[small] = a * e
+        k1[small] = b * e
+    large = ~small
+    xl = x[large]
+    if xl.size:
+        rs = 1.0 / np.sqrt(xl)
+        s = 4.0 / xl - 1.0
+        k0[large], k1[large] = _clenshaw(_K01E_CHEB, s) * rs
+    return _upward(k0, k1, x)
 
 
 def bessel_k_scaled(order, x: float) -> float:
@@ -265,6 +391,20 @@ def _survival(n_t: int, n_r: int, x: float) -> float:
     return 2.0 * math.exp(-r - tab.lg_t) * acc
 
 
+def _survival_many(n_t: int, n_r: int, x, logx):
+    """``_survival`` at each element of the array x; nan where it raises."""
+    tab = _shape_table(n_t, n_r)
+    r = 2.0 * np.sqrt(x)
+    ks = list(itertools.islice(_k_scaled_upward_many(r), n_t + 1))
+    half, lg_fact = np.array(tab.surv).T[:, :, None]
+    # every exp of the series in one pass: the n_r terms, then the prefactor
+    e = _each(math.exp, np.vstack([half * logx - lg_fact, -r - tab.lg_t]))
+    acc = 0.0
+    for m in range(n_r):
+        acc = acc + e[m] * ks[n_t - m]
+    return 2.0 * e[n_r] * acc
+
+
 def _digamma_int(n: int) -> float:
     v = -EULER
     for j in range(1, n):
@@ -304,6 +444,45 @@ def _cdf_ascending(n_t: int, n_r: int, x: float) -> float:
     return n_r * logx + math.log(g) - tab.lg_t - tab.lg_r
 
 
+def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
+    """``_cdf_ascending`` at each element of the array x; nan where it
+    raises.
+
+    An element leaves the live set at the term where the scalar loop
+    breaks, so its sum has exactly the scalar's terms.
+    """
+    tab = _shape_table(n_t, n_r)
+    g = np.zeros_like(x)
+    fk = np.ones_like(x)
+    negx = -x
+    for h in tab.head:
+        g = g + h * fk
+        fk = fk * negx
+    # (-1)^tau: adding -term is subtracting term, bit for bit
+    add = np.add if tab.sgn > 0.0 else np.subtract
+    xt = _each(functools.partial(pow, exp=n_t - n_r), x)
+    xl, lx = x, logx
+    idx = np.arange(x.size)
+    out = np.empty_like(x)
+    for k, (fact, bk, c) in enumerate(zip(tab.fact, tab.big_k, tab.psi)):
+        term = xt * fact / bk * (c - lx)
+        g = add(g, term)
+        if k >= 2:
+            done = np.abs(term) < 1e-17 * np.abs(g)
+            hit = done.nonzero()[0]
+            if hit.size:
+                out[idx[hit]] = g[hit]
+                keep = ~done
+                idx, g, xt, xl, lx = (idx[keep], g[keep], xt[keep], xl[keep],
+                                      lx[keep])
+                if not idx.size:
+                    break
+        xt = xt * xl
+    else:
+        out[idx] = g
+    return n_r * logx + _each(math.log, out) - tab.lg_t - tab.lg_r
+
+
 # Switch away from 1 - S(x) when the result would be dominated by
 # cancellation. The x threshold guards tiny arguments outright; the leading
 # term estimate guards configurations whose CDF is small even at moderate x
@@ -330,6 +509,68 @@ def _use_ascending(n_t: int, n_r: int, x: float) -> bool:
     except OverflowError:
         return False  # a leading term past float range is far above the cut
     return lead < _ASCENDING_F
+
+
+def _use_ascending_many(n_t: int, n_r: int, x, logx):
+    """``_use_ascending`` at each element of the array x.
+
+    A leading term whose exp overflows is nan here, and nan < _ASCENDING_F
+    is False, as the scalar's overflow branch returns.
+    """
+    tab = _shape_table(n_t, n_r)
+    m = n_r
+    lgg = tab.lg_t + tab.lg_r
+    if n_t > n_r:
+        lead = _each(math.exp, tab.lg_tau + m * logx - lgg) / m
+    else:
+        lead = (_each(math.exp, m * logx - lgg) * np.maximum(-logx, 1.0)
+                / m)
+    return (x < _ASCENDING_X) | (lead < _ASCENDING_F)
+
+
+def _log_cdf_many(n_t: int, n_r: int, x):
+    """``meijer_g_log_cdf`` at each element of the 1-D float64 array x.
+
+    The shapes are checked integers >= 1 and every x is finite and >= 0.
+    Each value is bitwise the one-point value; it is nan exactly where
+    ``meijer_g_log_cdf`` raises ``DomainError`` (see ``_cdf_domain_error``).
+    Only IEEE-exact arithmetic runs in numpy, in the scalar code's grouping;
+    every exp and log goes through ``math`` (``_each``).
+    """
+    big, small = (n_r, n_t) if n_r > n_t else (n_t, n_r)
+    out = np.full(x.shape, -math.inf)
+    pos = np.flatnonzero(x > 0.0)
+    try:
+        _shape_table(big, small)
+    except OverflowError:  # exp(lgamma(tau)) overflows: no series applies
+        out[pos] = math.nan
+        return out
+    with np.errstate(all="ignore"):
+        xp = x[pos]
+        logx = _each(math.log, xp)
+        asc = _use_ascending_many(big, small, xp, logx)
+        surv = np.flatnonzero(~asc)
+        if surv.size:
+            s = _survival_many(big, small, xp[surv], logx[surv])
+            # roundoff can push S marginally past 1 when F is at the
+            # switch edge
+            fallback = s >= 1.0
+            asc[surv[fallback]] = True
+            keep = ~fallback
+            out[pos[surv[keep]]] = _each(math.log1p, -s[keep])
+        sel = np.flatnonzero(asc)
+        if sel.size:
+            out[pos[sel]] = _cdf_ascending_many(big, small, xp[sel],
+                                                logx[sel])
+    return out
+
+
+def _cdf_domain_error(n_t, n_r, x: float) -> DomainError:
+    """The error of a gain CDF that neither series can evaluate at x."""
+    return DomainError(
+        f"gain CDF for shapes ({n_t}, {n_r}) at x = {x!r} is beyond "
+        "float64 reach of both the ascending and the survival series"
+    )
 
 
 def meijer_g_log_cdf(n_t, n_r, x: float) -> float:
@@ -361,10 +602,7 @@ def meijer_g_log_cdf(n_t, n_r, x: float) -> float:
     except (OverflowError, ValueError):
         log_f = math.nan
     if math.isnan(log_f):
-        raise DomainError(
-            f"gain CDF for shapes ({n_t}, {n_r}) at x = {x!r} is beyond "
-            "float64 reach of both the ascending and the survival series"
-        )
+        raise _cdf_domain_error(n_t, n_r, x)
     return log_f
 
 

@@ -148,6 +148,17 @@ def _assert_curve_matches_one_point(n_t, n_r, k, points):
     assert got == want, (n_t, n_r, k)
 
 
+def _assert_same_error(n_t, n_r, k, points):
+    """outage_curve raises what the one-point calls in axis order raise."""
+    with pytest.raises(ValueError) as want:
+        for rate, snrs in points:
+            exact_outage(SystemConfig(n_t, n_r, k, rate, snrs))
+    with pytest.raises(ValueError) as got:
+        list(outage_curve(n_t, n_r, k, points))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
 # -3 dB and 0 dB give square arrays a blank asymptote
 SNR_DB = [-3.0] + [0.5 * i for i in range(141)]
 
@@ -223,6 +234,53 @@ class TestOutageCurve:
         # an outage threshold past float64 is an error of the exact column
         with pytest.raises(DomainError, match="outage threshold"):
             list(outage_curve(2, 2, 1, [(3.0, (10.0,)), (1024.0, (10.0,))]))
+
+    # point 3 (0-based) and point 5 each fail; the one-point loop in axis
+    # order meets point 3 first, whichever kind of error it is
+    CDF_EDGE = (68.0, (10.0,))            # 16x16: gain CDF beyond float64
+    THRESHOLD_EDGE = (1024.0, (10.0,))    # 2^R overflows
+    BAD_SNR = (3.0, (0.0,))
+    BAD_RATE = (-1.0, (10.0,))
+
+    @pytest.mark.parametrize("third,fifth", [
+        (CDF_EDGE, BAD_SNR), (BAD_SNR, CDF_EDGE),
+        (THRESHOLD_EDGE, BAD_RATE), (BAD_RATE, THRESHOLD_EDGE),
+        (CDF_EDGE, THRESHOLD_EDGE), (BAD_SNR, BAD_RATE),
+    ])
+    def test_first_failing_point_wins(self, third, fifth):
+        ok = (3.0, (10.0,))
+        points = [ok, ok, ok, third, ok, fifth, ok]
+        _assert_same_error(16, 16, 1, points)
+
+    @pytest.mark.parametrize("snrs", [(10.0, 0.5), (0.5, 10.0), (0.5, 0.5)])
+    def test_first_failing_round_wins(self, snrs):
+        # at 16x16, rate 1019 the threshold overflows at snr 0.5 and the
+        # CDF is beyond float64 at snr 10
+        _assert_same_error(16, 16, 2, [(3.0, (10.0, 10.0)), (1019.0, snrs)])
+
+    def test_points_iterator_error_after_a_domain_error(self):
+        def points():
+            yield 68.0, (10.0,)
+            raise DomainError("SNR 4000.0 dB overflows float64")
+
+        with pytest.raises(DomainError, match="gain CDF"):
+            list(outage_curve(16, 16, 1, points()))
+
+    def test_shape_past_lgamma_reach(self):
+        # lgamma(tau) overflows exp for tau = 199: every x > 0 is refused
+        _assert_same_error(200, 1, 1, [(3.0, (10.0,))])
+        (exact, asy), = outage_curve(200, 1, 1, [(0.0, (10.0,))])
+        assert exact == -math.inf
+
+    @pytest.mark.parametrize("n_t,n_r", [(2, 3), (2, 2)])
+    def test_underflowed_threshold(self, n_t, n_r):
+        # 2^R - 1 rounds to 0 for R = 1e-17: every threshold is 0, as at
+        # rate 0, so both logs are -inf
+        config = SystemConfig(n_t, n_r, 2, 1e-17, (10.0, 100.0))
+        assert asymptotic_outage(config).log_value == -math.inf
+        assert exact_outage(config).log_value == -math.inf
+        points = [(1e-17, (10.0, 100.0)), (1e-17, (1e300, 1e300))]
+        _assert_curve_matches_one_point(n_t, n_r, 2, points)
 
 
 class TestAsymptoticOutage:

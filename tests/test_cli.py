@@ -293,6 +293,53 @@ class TestRunFlags:
                 simulated["lanes"]) == (1000, 4, 2)
 
 
+class TestOutputPath:
+    # --out in a directory that does not exist is a usage error: exit 2,
+    # one error line, nothing on stdout
+    @pytest.mark.parametrize("argv", [
+        ["sweep-snr", "--snr-db", "0:10:20"],
+        ["sweep-snr", "--snr-db", "0:10:20", "--json"],
+        ["sweep-rate", "--rate", "1:1:2"],
+        ["coding-gain", "--rate", "1:1:2"],
+        ["diversity", "--snr-db", "50:2:54"],
+        ["diversity", "--snr-db", "50:2:54", "--json"],
+        ["simulate", "--trials", "10"],
+    ])
+    def test_missing_directory_exits_2(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "out.csv"
+        assert main(argv + ["--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {str(target)!r}")
+        assert not target.parent.exists()
+
+
+class TestDiversityMetadata:
+    ARGV = ["diversity", "--nt", "1", "--nr", "1", "--k", "1", "--rate", "1",
+            "--snr-db", "0:2:4", "--seed", "3", "--json"]
+
+    def _doc(self, tmp_path, extra, name):
+        out = tmp_path / name
+        assert main(self.ARGV + extra + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_exact_report_ignores_run_flags(self, tmp_path):
+        one = self._doc(tmp_path, ["--lanes", "1"], "a.json")
+        two = self._doc(tmp_path, ["--lanes", "2", "--seed", "9"], "b.json")
+        assert one == two
+        meta = json.loads(one)["metadata"]
+        assert (meta["trials"], meta["seed"], meta["lanes"]) == (
+            None, None, None)
+
+    def test_simulation_report_records_run_flags(self, tmp_path):
+        doc = self._doc(tmp_path, ["--method", "simulation", "--trials",
+                                   "2000", "--lanes", "2"], "s.json")
+        meta = json.loads(doc)["metadata"]
+        assert (meta["trials"], meta["seed"], meta["lanes"]) == (2000, 3, 2)
+
+
 class TestSimulate:
     def test_deterministic_json(self, capsys):
         argv = [
@@ -463,7 +510,8 @@ class TestBenchmarkTracer:
             "sweep-snr", "--snr-db", "0:2.5:70",
             "--out", str(tmp_path / "c.csv")])
         assert tracer.stats["cli.write_curve_csv"].work == 29
-        assert tracer.stats["specfun.meijer_g_log_cdf"].calls == 29
+        # a curve evaluates its CDFs as arrays, never point by point
+        assert "specfun.meijer_g_log_cdf" not in tracer.stats
 
     def test_tracer_sees_every_simulator_batch(self, monkeypatch, tmp_path):
         # the simulator's lanes must keep calling the module-level

@@ -11,6 +11,7 @@ import itertools
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -335,3 +336,124 @@ class TestGainCdf:
         f_lo = meijer_g_cdf(n_t, n_r, lo)
         f_hi = meijer_g_cdf(n_t, n_r, hi)
         assert 0.0 <= f_lo <= f_hi <= 1.0
+
+
+def _one_point_log_cdf(n_t, n_r, x):
+    """meijer_g_log_cdf, with nan standing for its DomainError."""
+    try:
+        return meijer_g_log_cdf(n_t, n_r, x)
+    except DomainError:
+        return math.nan
+
+
+def _switch_neighbours(n_t, n_r, lo, hi):
+    """The two adjacent floats in [lo, hi] where ``_use_ascending`` flips;
+    it must differ at lo and hi."""
+    big, small = max(n_t, n_r), min(n_t, n_r)
+    side = specfun._use_ascending(big, small, lo)
+    assert specfun._use_ascending(big, small, hi) != side
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if specfun._use_ascending(big, small, mid) == side:
+            lo = mid
+        else:
+            hi = mid
+    return [lo, hi]
+
+
+class TestArrayLogCdf:
+    # The array form that evaluates a whole curve: every value is bitwise
+    # the one-point value, and nan exactly where the one-point call raises.
+
+    @staticmethod
+    def _assert_matches(n_t, n_r, xs):
+        got = specfun._log_cdf_many(n_t, n_r, np.array(xs, dtype=float))
+        assert got.shape == (len(xs),)
+        for x, g in zip(xs, got.tolist()):
+            want = _one_point_log_cdf(n_t, n_r, x)
+            if math.isnan(want):
+                assert math.isnan(g), (n_t, n_r, x)
+            else:
+                assert struct.pack("<d", g) == struct.pack("<d", want), \
+                    (n_t, n_r, x, g, want)
+
+    # the CLI's 0-70 dB grid at two rates, and a wide log grid
+    GRID = ([n * (2.0 ** rate - 1.0) / 10.0 ** (0.025 * i)
+             for n in (1, 8) for rate in (0.5, 6.0) for i in range(0, 281, 4)]
+            + [10.0 ** (0.25 * i) for i in range(-36, 12)] + [0.0, 5e-324])
+
+    @pytest.mark.parametrize("n_t", range(1, 21))
+    def test_shapes_1_to_20(self, n_t):
+        for n_r in range(1, 21):
+            self._assert_matches(n_t, n_r, self.GRID)
+
+    @pytest.mark.parametrize("n_t", range(1, 21))
+    def test_random_x(self, n_t):
+        # many distinct x, so that a transcendental that is off in the last
+        # bit at one input in a thousand still shows
+        rng = np.random.default_rng(n_t)
+        for n_r in range(1, 21):
+            xs = (10.0 ** rng.uniform(-9.0, 2.8, 100)).tolist()
+            self._assert_matches(n_t, n_r, xs)
+
+    @pytest.mark.parametrize("n_t,n_r", [(3, 40), (40, 3)])
+    def test_lopsided_shape(self, n_t, n_r):
+        self._assert_matches(n_t, n_r, self.GRID)
+
+    def test_ascending_x_neighbours(self):
+        x = specfun._ASCENDING_X
+        xs = [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+        for n_t, n_r in itertools.product(range(1, 21), repeat=2):
+            self._assert_matches(n_t, n_r, xs)
+
+    @pytest.mark.parametrize("n_t,n_r", [
+        (1, 1), (2, 1), (2, 2), (5, 3), (9, 16), (12, 12), (16, 16), (20, 7),
+    ])
+    def test_branch_switch_neighbours(self, n_t, n_r):
+        # the two floats on either side of the ascending/survival switch
+        xs = _switch_neighbours(n_t, n_r, 1e-4, 60.0)
+        self._assert_matches(n_t, n_r, xs)
+
+    @pytest.mark.parametrize("n,lo,hi", [(48, 309.0, 390.0),
+                                         (60, 489.0, 700.0)])
+    def test_survival_fallback(self, n, lo, hi):
+        # where 1 - S rounds past 0, the survival branch hands the point to
+        # the ascending series
+        xs = [lo + (hi - lo) * i / 40 for i in range(41)]
+        took = [x for x in xs if not specfun._use_ascending(n, n, x)
+                and specfun._survival(n, n, x) >= 1.0]
+        assert len(took) >= 3
+        self._assert_matches(n, n, xs)
+
+    @pytest.mark.parametrize("n_t,n_r,xs", [
+        # the gain CDF edges of TestDomainEdges: 16x16 from rate 68 and
+        # 2x2 from rate 686 at 10 dB, 200x200 at 0 and 1 dB
+        (16, 16, [16 * (2.0 ** r - 1.0) / 10.0 for r in (66, 67, 68, 69)]),
+        (2, 2, [2 * (2.0 ** r - 1.0) / 10.0 for r in (683, 685, 686, 700)]),
+        (200, 200, [200 * 7.0, 200 * 7.0 / 10.0 ** 0.1, 0.5, 1e-3]),
+        # lgamma(tau) past exp's reach (tau >= 172): no point but 0 has a
+        # value; at tau = 171 only the large x are refused
+        (200, 1, [0.0, 1e-6, 1e-4, 3.0, 1e3]),
+        (1, 173, [0.0, 1e-6, 3.0, 40.0, 1e3]),
+        (1, 172, [0.0, 1e-6, 3.0, 40.0, 1e3]),
+        (2, 2, [1e300, 1.7e308, 5e-324]),
+    ])
+    def test_domain_errors_at_the_same_points(self, n_t, n_r, xs):
+        nan = [math.isnan(_one_point_log_cdf(n_t, n_r, x)) for x in xs]
+        assert any(nan)
+        self._assert_matches(n_t, n_r, xs)
+
+    def test_empty(self):
+        assert specfun._log_cdf_many(2, 3, np.array([])).shape == (0,)
+
+    def test_bessel_orders_match_one_point_walk(self):
+        # K_0..K_16 from the array walk against the scalar walk, on both
+        # sides of the x = 2 switch of the K_0/K_1 evaluation
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([10.0 ** rng.uniform(-8.0, 0.301, 2000),
+                             rng.uniform(2.0, 700.0, 500),
+                             [1e-6, 1.999999, 2.0, 2.000001, 448.0]])
+        got = list(itertools.islice(specfun._k_scaled_upward_many(xs), 17))
+        for i, x in enumerate(xs.tolist()):
+            want = list(itertools.islice(specfun._k_scaled_upward(x), 17))
+            assert [float(k[i]) for k in got] == want, x
