@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +37,11 @@ from .analysis import (
     outage_curve,
 )
 from .keyhole import SystemConfig, db_to_linear
-from .montecarlo import empirical_diversity_slope, simulate_outage
+from .montecarlo import (
+    _usable_cores,
+    empirical_diversity_slope,
+    simulate_outage,
+)
 
 CSV_HEADER = ("axis", "exact", "asymptotic", "simulated", "ci_low", "ci_high",
               "log10_exact")
@@ -331,18 +334,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _add_antenna_flags(p, k_default=3):
+def _add_antenna_flags(p):
     p.add_argument("--nt", type=int, default=2, help="transmit antennas")
     p.add_argument("--nr", type=int, default=2, help="receive antennas")
-    p.add_argument("--k", type=int, default=k_default, help="HARQ rounds")
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one, else the machine's core count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    p.add_argument("--k", type=int, default=3, help="HARQ rounds")
 
 
 def _add_run_flags(p, trials_default):

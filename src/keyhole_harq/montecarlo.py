@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -160,6 +161,14 @@ def _count_failures(
     return fails
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_outage(
     config: SystemConfig, trials: int, seed: int = 0, lanes: int = 1
 ) -> SimulationResult:
@@ -168,7 +177,8 @@ def simulate_outage(
     A trial is an outage when every round's gain falls below its threshold.
     The result is bitwise reproducible for a given (config, trials, seed)
     regardless of ``lanes``, which only controls how the trial range is
-    partitioned for execution.
+    partitioned for execution. The lanes share a pool of at most one thread
+    per usable core.
     """
     trials = operator.index(trials)
     if trials < 1:
@@ -190,7 +200,7 @@ def simulate_outage(
         c = base + (1 if lane < rem else 0)
         ranges.append((start, c))
         start += c
-    with ThreadPoolExecutor(max_workers=lanes) as pool:
+    with ThreadPoolExecutor(max_workers=min(lanes, _usable_cores())) as pool:
         failures = sum(
             pool.map(
                 lambda r: _count_failures(config, thresholds, r[0], r[1], seed),

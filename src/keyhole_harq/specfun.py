@@ -25,13 +25,16 @@ The public functions are plain float64 arithmetic on the standard library's
 
 A whole curve evaluates through the private array forms (``_log_cdf_many``
 and the ``*_many`` helpers it calls): the branch choice, both series and the
-K_0/K_1 evaluation over a float64 array of x. Each value is bitwise the
-one-point value. Only IEEE-exact operations run in numpy (``+ - * /``,
-``sqrt``, ``abs``, comparisons, ``maximum``), elementwise and in the
-one-point code's left-to-right grouping; every exp, log, log1p and ``**``
-goes through ``math`` one element at a time (``_each``), because numpy's
-vectorised ones may differ in the last bit. No series sum uses a numpy
-reduction: a term loop adds one term per step to every live point, and a
+Chebyshev K_0/K_1 fits over a float64 array of x. Each value is bitwise the
+one-point value. Small-argument K_0/K_1 (r <= 2) runs point by point through
+the one-point series (``_k01_scaled``): few survival points reach it (1.2%
+of the points of a typical sweep, about 30 per call), and an array term loop
+has a fixed cost of about 0.2 ms, more than the scalar series at that size.
+Only IEEE-exact operations run in numpy (``+ - * /``, ``sqrt``, ``abs``,
+comparisons, ``maximum``), elementwise and in the one-point code's
+left-to-right grouping; every exp, log, log1p and ``**`` goes through
+``math`` one element at a time (``_each``), because numpy's vectorised ones
+may differ in the last bit. No series sum uses a numpy reduction: a term loop adds one term per step to every live point, and a
 point leaves the live set at the very term where the one-point loop stops.
 ``_clenshaw`` and the upward recurrence are written once and take floats or
 arrays. A one-element array call costs far more than a one-point call, so
@@ -127,8 +130,13 @@ def _clenshaw(coefs: tuple, s):
     return s * b1 - b2 + coefs[0]
 
 
-def _k01_small(x: float) -> tuple:
-    """Unscaled K_0(x), K_1(x) for 0 < x <= 2 via the ascending series."""
+def _k01_scaled(x: float) -> tuple:
+    """e^x K_0(x), e^x K_1(x) for x > 0: the ascending series times e^x for
+    x <= 2, the two Chebyshev fits above."""
+    if x > 2.0:
+        rs = 1.0 / math.sqrt(x)
+        s = 4.0 / x - 1.0
+        return _clenshaw(_K0E_CHEB, s) * rs, _clenshaw(_K1E_CHEB, s) * rs
     u = 0.25 * x * x
     lh = math.log(0.5 * x)
     i0 = 1.0          # I_0(x)
@@ -152,61 +160,8 @@ def _k01_small(x: float) -> tuple:
             break
     k0 = -(lh + EULER) * i0 + s0
     k1 = 1.0 / x + (0.5 * x) * (lh * i1s - 0.5 * s1)
-    return k0, k1
-
-
-def _k01_small_steps() -> tuple:
-    """Per term k of ``_k01_small``: the divisors (k^2, k (k+1)) of u and
-    the weights (H_k, psum_k) of its two sums, each as a column pair, in
-    the scalar loop's arithmetic."""
-    steps = []
-    h = 0.0
-    psum = 1.0 - 2.0 * EULER
-    for k in range(1, 64):
-        h += 1.0 / k
-        psum += 1.0 / k + 1.0 / (k + 1)
-        steps.append((np.array([[k * k], [k * (k + 1)]], dtype=float),
-                      np.array([[h], [psum]])))
-    return tuple(steps)
-
-
-_K01_SMALL_STEPS = _k01_small_steps()
-
-
-def _k01_small_many(x):
-    """``_k01_small`` at each element of the array x.
-
-    The series pairs (t0, t1), (i0, i1s) and (s0, s1) step as one array
-    each. An element leaves the live set at the term where the scalar loop
-    breaks, so every sum has exactly the scalar's terms.
-    """
-    u = 0.25 * x * x
-    lh = _each(math.log, 0.5 * x)
-    # live rows: t0, t1, i0, i1s, s0, s1, u
-    live = np.ones((7, x.size))
-    live[4] = 0.0
-    live[5] = 1.0 - 2.0 * EULER
-    live[6] = u
-    idx = np.arange(x.size)
-    sums = np.empty((4, x.size))
-    for div, weight in _K01_SMALL_STEPS:
-        t, i, s = live[0:2], live[2:4], live[4:6]
-        t *= live[6] / div
-        i += t
-        s += t * weight
-        done = t[0] < 1e-18 * i[0]
-        if np.count_nonzero(done):
-            sums[:, idx[done]] = live[2:6, done]
-            keep = ~done
-            live, idx = live[:, keep], idx[keep]
-            if not idx.size:
-                break
-    else:
-        sums[:, idx] = live[2:6]
-    i0, i1s, s0, s1 = sums
-    k0 = -(lh + EULER) * i0 + s0
-    k1 = 1.0 / x + (0.5 * x) * (lh * i1s - 0.5 * s1)
-    return k0, k1
+    e = math.exp(x)
+    return k0 * e, k1 * e
 
 
 def _upward(k0, k1, x):
@@ -231,30 +186,21 @@ def _k_scaled_upward(x: float):
 
     K_0 and K_1 are evaluated once; ``_upward`` walks the higher orders.
     """
-    if x <= 2.0:
-        k0, k1 = _k01_small(x)
-        e = math.exp(x)
-        k0 *= e
-        k1 *= e
-    else:
-        rs = 1.0 / math.sqrt(x)
-        s = 4.0 / x - 1.0
-        k0 = _clenshaw(_K0E_CHEB, s) * rs
-        k1 = _clenshaw(_K1E_CHEB, s) * rs
-    return _upward(k0, k1, x)
+    return _upward(*_k01_scaled(x), x)
 
 
 def _k_scaled_upward_many(x):
-    """``_k_scaled_upward`` at each element of the array x."""
+    """``_k_scaled_upward`` at each element of the array x.
+
+    Arguments up to 2 take ``_k01_scaled`` one point at a time (see the
+    module docstring); the Chebyshev fits above walk all points at once.
+    """
     k0 = np.empty_like(x)
     k1 = np.empty_like(x)
     small = x <= 2.0
     xs = x[small]
     if xs.size:
-        a, b = _k01_small_many(xs)
-        e = _each(math.exp, xs)
-        k0[small] = a * e
-        k1[small] = b * e
+        k0[small], k1[small] = zip(*map(_k01_scaled, xs.tolist()))
     large = ~small
     xl = x[large]
     if xl.size:

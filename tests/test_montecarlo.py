@@ -158,6 +158,35 @@ class TestSimulateOutage:
         r = simulate_outage(config, 112_689, seed=13, lanes=lanes)
         assert r.failures == simulate_outage(config, 112_689, seed=13).failures
 
+    def test_pool_capped_at_usable_cores(self, monkeypatch):
+        # a huge lane count keeps its partition of the trials, and so its
+        # count, but asks for at most one thread per core; the stub records
+        # the pool size and runs the lanes serially, starting no thread
+        workers = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 4)
+        config = SystemConfig.equal_snr(2, 2, 2, 2.0, 4.0)
+        want = simulate_outage(config, 3001, seed=13).failures
+        assert want > 0
+        r = simulate_outage(config, 3001, seed=13, lanes=100_000)
+        assert r.failures == want
+        simulate_outage(config, 3001, seed=13, lanes=3)
+        assert workers == [1, 4, 3]
+
     def test_batching_invariance(self):
         # several whole internal batches plus a remainder, split so that
         # every lane crosses batch boundaries: the count equals one

@@ -361,6 +361,14 @@ def _switch_neighbours(n_t, n_r, lo, hi):
     return [lo, hi]
 
 
+def _mixed_bessel_args():
+    """Arguments on both sides of the x = 2 switch, and at it."""
+    rng = np.random.default_rng(7)
+    return np.concatenate([10.0 ** rng.uniform(-8.0, 0.301, 2000),
+                           rng.uniform(2.0, 700.0, 500),
+                           [1e-6, 1.999999, 2.0, 2.000001, 448.0]])
+
+
 class TestArrayLogCdf:
     # The array form that evaluates a whole curve: every value is bitwise
     # the one-point value, and nan exactly where the one-point call raises.
@@ -446,13 +454,17 @@ class TestArrayLogCdf:
     def test_empty(self):
         assert specfun._log_cdf_many(2, 3, np.array([])).shape == (0,)
 
-    def test_bessel_orders_match_one_point_walk(self):
+    @pytest.mark.parametrize("xs", [
+        _mixed_bessel_args(),
+        np.array([3.5]),
+        np.array([1e-8, 0.05, 1.0, 1.999999, 2.0]),
+        np.array([2.000001, 5.0, 30.0, 700.0]),
+        np.array([2.0]),
+    ], ids=["mixed", "one", "all-small", "all-large", "two"])
+    def test_bessel_orders_match_one_point_walk(self, xs):
         # K_0..K_16 from the array walk against the scalar walk, on both
-        # sides of the x = 2 switch of the K_0/K_1 evaluation
-        rng = np.random.default_rng(7)
-        xs = np.concatenate([10.0 ** rng.uniform(-8.0, 0.301, 2000),
-                             rng.uniform(2.0, 700.0, 500),
-                             [1e-6, 1.999999, 2.0, 2.000001, 448.0]])
+        # sides of the x = 2 switch of the K_0/K_1 evaluation, and with
+        # either side empty
         got = list(itertools.islice(specfun._k_scaled_upward_many(xs), 17))
         for i, x in enumerate(xs.tolist()):
             want = list(itertools.islice(specfun._k_scaled_upward(x), 17))
