@@ -150,11 +150,6 @@ def write_curve_json(path, curve: CurveResult, metadata: dict) -> None:
         fh.write("\n")
 
 
-def _write_text(path, text: str) -> None:
-    with _open_out(path) as fh:
-        fh.write(text)
-
-
 def _config_metadata(config: SystemConfig) -> dict:
     return {
         "n_t": config.n_t,
@@ -205,6 +200,18 @@ def _emit_curve(args, curve: CurveResult, metadata: dict) -> int:
     return 0
 
 
+def _emit_report(args, doc: dict, text: str) -> int:
+    """The report as indented JSON with --json, else as ``text``; to --out
+    or stdout, newline-terminated."""
+    out = json.dumps(doc, indent=2) if args.json else text
+    if args.out:
+        with _open_out(args.out) as fh:
+            fh.write(out + "\n")
+    else:
+        print(out)
+    return 0
+
+
 def _run_metadata(args) -> dict:
     """The run flags of a curve command; seed and lanes are null when no
     column is simulated, so they cannot vary the mirror's bytes."""
@@ -213,32 +220,31 @@ def _run_metadata(args) -> dict:
             "lanes": args.lanes if sim else None}
 
 
-def _cmd_sweep_snr(args) -> int:
-    axis = parse_range(args.snr_db)
-    points = _curve_points(
-        args, axis, lambda db: (args.rate, (db_to_linear(db),) * args.k))
-    curve = CurveResult(axis_name="snr_db", points=points)
+def _sweep(args, axis_name: str, axis: list, point, axis_meta: dict) -> int:
+    """A curve over ``axis``; ``axis_meta`` holds the mirror's axis flags
+    in the order they are written."""
+    curve = CurveResult(axis_name=axis_name,
+                        points=_curve_points(args, axis, point))
     meta = {
-        "command": "sweep-snr",
+        "command": args.command,
         "n_t": args.nt, "n_r": args.nr, "k_rounds": args.k,
-        "rate": args.rate, "snr_db": args.snr_db,
+        **axis_meta,
         **_run_metadata(args),
     }
     return _emit_curve(args, curve, meta)
+
+
+def _cmd_sweep_snr(args) -> int:
+    return _sweep(args, "snr_db", parse_range(args.snr_db),
+                  lambda db: (args.rate, (db_to_linear(db),) * args.k),
+                  {"rate": args.rate, "snr_db": args.snr_db})
 
 
 def _cmd_sweep_rate(args) -> int:
     axis = parse_range(args.rate)
     snrs = parse_gamma_db(args.gamma_db, args.k)
-    points = _curve_points(args, axis, lambda rate: (rate, snrs))
-    curve = CurveResult(axis_name="rate", points=points)
-    meta = {
-        "command": "sweep-rate",
-        "n_t": args.nt, "n_r": args.nr, "k_rounds": args.k,
-        "gamma_db": args.gamma_db, "rate": args.rate,
-        **_run_metadata(args),
-    }
-    return _emit_curve(args, curve, meta)
+    return _sweep(args, "rate", axis, lambda rate: (rate, snrs),
+                  {"gamma_db": args.gamma_db, "rate": args.rate})
 
 
 def _cmd_coding_gain(args) -> int:
@@ -284,20 +290,12 @@ def _cmd_diversity(args) -> int:
             "tool_version": __version__,
         },
     }
-    if args.json:
-        out = json.dumps(doc, indent=2)
-    else:
-        out = (
-            f"analytic diversity order: {d}\n"
-            f"fitted slope ({args.method}, {grid[0]:g}-{grid[-1]:g} dB, "
-            f"{len(grid)} points): {fitted:.6g}\n"
-            f"relative gap: {100.0 * gap:.3g}%"
-        )
-    if args.out:
-        _write_text(args.out, out + "\n")
-    else:
-        print(out)
-    return 0
+    return _emit_report(args, doc, (
+        f"analytic diversity order: {d}\n"
+        f"fitted slope ({args.method}, {grid[0]:g}-{grid[-1]:g} dB, "
+        f"{len(grid)} points): {fitted:.6g}\n"
+        f"relative gap: {100.0 * gap:.3g}%"
+    ))
 
 
 def _cmd_simulate(args) -> int:
@@ -317,21 +315,13 @@ def _cmd_simulate(args) -> int:
             "tool_version": __version__,
         },
     }
-    if args.json:
-        out = json.dumps(doc, indent=2)
-    else:
-        out = (
-            f"trials: {r.trials}\n"
-            f"failures: {r.failures}\n"
-            f"estimate: {r.estimate:.17g}\n"
-            f"ci_halfwidth_3sigma: {r.ci_halfwidth:.17g}\n"
-            f"low_confidence: {'yes' if r.low_confidence else 'no'}"
-        )
-    if args.out:
-        _write_text(args.out, out + "\n")
-    else:
-        print(out)
-    return 0
+    return _emit_report(args, doc, (
+        f"trials: {r.trials}\n"
+        f"failures: {r.failures}\n"
+        f"estimate: {r.estimate:.17g}\n"
+        f"ci_halfwidth_3sigma: {r.ci_halfwidth:.17g}\n"
+        f"low_confidence: {'yes' if r.low_confidence else 'no'}"
+    ))
 
 
 def _add_antenna_flags(p):
@@ -345,7 +335,8 @@ def _add_run_flags(p, trials_default):
                    help="Monte Carlo trials per point (0 disables)")
     p.add_argument("--seed", type=int, default=1, help="simulation seed")
     p.add_argument("--lanes", type=int, default=_usable_cores(),
-                   help="parallel lanes (does not affect results)")
+                   help="worker threads, at most the usable cores "
+                        "(does not affect results)")
 
 
 def _add_out_flags(p):
@@ -428,3 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -5,7 +5,9 @@ of n_r (resp. n_t) unit exponentials, so each trial consumes a fixed number
 of uniforms. Substreams are assigned by global trial index with a
 counter-based generator (Philox), which makes the failure count a pure
 function of (seed, trials, config): any partition of the trial range across
-lanes, and any batching within a lane, reproduces the same draws.
+threads, and any batching within a thread, reproduces the same draws.
+``lanes`` sets the worker threads, at most the usable cores; each takes one
+contiguous range of the trials.
 
 Philox's ``advance`` unit is one 128-bit counter tick = 4 doubles, so the
 per-trial draw budget is padded up to a multiple of 4 and trial i starts at
@@ -176,9 +178,9 @@ def simulate_outage(
 
     A trial is an outage when every round's gain falls below its threshold.
     The result is bitwise reproducible for a given (config, trials, seed)
-    regardless of ``lanes``, which only controls how the trial range is
-    partitioned for execution. The lanes share a pool of at most one thread
-    per usable core.
+    regardless of ``lanes``, the number of worker threads, capped at the
+    trials and at the usable cores. Each thread counts one contiguous range
+    of the trials.
     """
     trials = operator.index(trials)
     if trials < 1:
@@ -189,22 +191,17 @@ def simulate_outage(
     lanes = operator.index(lanes)
     if lanes < 1:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
-    lanes = min(lanes, trials)
+    lanes = min(lanes, trials, _usable_cores())
     thresholds = np.array(
         [outage_threshold(config, k) for k in range(1, config.k_rounds + 1)]
     )
-    base, rem = divmod(trials, lanes)
-    ranges = []
-    start = 0
-    for lane in range(lanes):
-        c = base + (1 if lane < rem else 0)
-        ranges.append((start, c))
-        start += c
-    with ThreadPoolExecutor(max_workers=min(lanes, _usable_cores())) as pool:
+    bounds = [trials * i // lanes for i in range(lanes + 1)]
+    with ThreadPoolExecutor(max_workers=lanes) as pool:
         failures = sum(
             pool.map(
-                lambda r: _count_failures(config, thresholds, r[0], r[1], seed),
-                ranges,
+                lambda r: _count_failures(config, thresholds, r[0],
+                                          r[1] - r[0], seed),
+                zip(bounds, bounds[1:]),
             )
         )
     p = failures / trials

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -366,6 +367,16 @@ class TestSimulate:
 
     def test_zero_trials_exits_2(self, capsys):
         assert main(["simulate", "--trials", "0"]) == 2
+
+    def test_python_m_matches_main(self, capsys):
+        argv = ["simulate", "--trials", "1000", "--seed", "7", "--lanes", "1"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "keyhole_harq.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        rc = main(argv)
+        assert proc.stdout == capsys.readouterr().out != ""
+        assert proc.returncode == rc == 0
 
 
 class TestDomainEdges:

@@ -8,6 +8,7 @@ deliberate output change, run the listed argv with ``--out`` into
 ``tests/data/`` and say why in CHANGES.md.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,42 @@ def test_json_mirror_ignores_unused_run_flags(tmp_path):
                       "sweep-snr --json --seed 99 --lanes 3")
     assert_same_bytes((tmp_path / "d.json").read_bytes(), want,
                       "sweep-snr --json, default run flags")
+
+
+def test_sweep_rate_json_mirror(tmp_path):
+    # pins the mirror's key order for the rate axis: gamma_db before rate
+    out = tmp_path / "curve.csv"
+    assert main(["sweep-rate", "--nt", "2", "--nr", "2", "--k", "2",
+                 "--rate", "1:1:3", "--gamma-db", "5", "--out", str(out),
+                 "--json"]) == 0
+    assert_same_bytes(out.with_suffix(".json").read_bytes(),
+                      (DATA / "sweep_rate_2x2_k2_r1-3.json").read_bytes(),
+                      "sweep-rate --json mirror")
+
+
+def test_diversity_exact_text(tmp_path, capsys):
+    # the text report rounds the fitted slope to 6 significant digits, so
+    # the platform's LAPACK cannot move its bytes
+    out = tmp_path / "diversity.txt"
+    assert main(["diversity", "--method", "exact", "--out", str(out)]) == 0
+    want = (DATA / "diversity_exact_2x2_k3.txt").read_bytes()
+    assert_same_bytes(out.read_bytes(), want, "diversity --method exact")
+    assert main(["diversity", "--method", "exact"]) == 0
+    assert capsys.readouterr().out.encode() == want
+
+
+def test_diversity_json_layout(tmp_path, capsys):
+    # the fitted slope comes from polyfit, whose last bits may follow the
+    # platform's LAPACK, so only the layout and key order are pinned
+    out = tmp_path / "diversity.json"
+    assert main(["diversity", "--json", "--out", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert list(doc) == ["analytic_diversity_order", "fitted_slope",
+                         "relative_gap", "metadata"]
+    assert list(doc["metadata"]) == [
+        "command", "method", "n_t", "n_r", "k_rounds", "rate", "snr_db",
+        "trials", "seed", "lanes", "tool_version"]
+    assert main(["diversity", "--json"]) == 0
+    assert capsys.readouterr().out == text

@@ -159,10 +159,12 @@ class TestSimulateOutage:
         assert r.failures == simulate_outage(config, 112_689, seed=13).failures
 
     def test_pool_capped_at_usable_cores(self, monkeypatch):
-        # a huge lane count keeps its partition of the trials, and so its
-        # count, but asks for at most one thread per core; the stub records
-        # the pool size and runs the lanes serially, starting no thread
+        # a huge lane count keeps its count but runs at most one thread per
+        # core, each on one range of the trials; the stub records the pool
+        # size and the ranges mapped, and runs them serially, starting no
+        # thread
         workers = []
+        ranges = []
 
         class SerialExecutor:
             def __init__(self, max_workers):
@@ -175,6 +177,8 @@ class TestSimulateOutage:
                 return False
 
             def map(self, fn, items):
+                items = list(items)
+                ranges.append(len(items))
                 return map(fn, items)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialExecutor)
@@ -186,6 +190,7 @@ class TestSimulateOutage:
         assert r.failures == want
         simulate_outage(config, 3001, seed=13, lanes=3)
         assert workers == [1, 4, 3]
+        assert ranges == [1, 4, 3]
 
     def test_batching_invariance(self):
         # several whole internal batches plus a remainder, split so that
@@ -197,7 +202,7 @@ class TestSimulateOutage:
         want = int(np.count_nonzero(np.all(g < outage_threshold(config, 1),
                                            axis=1)))
         assert 0 < want < trials
-        for lanes in (1, 2, 5):
+        for lanes in (1, 2, 5, 100_000):
             r = simulate_outage(config, trials, seed=3, lanes=lanes)
             assert r.failures == want, lanes
 
