@@ -433,6 +433,22 @@ class TestDomainEdges:
         assert len(lines) == 1 and lines[0].startswith("error: SNR")
         assert not out.exists()
 
+    @pytest.mark.parametrize("n,quantity", [
+        # point 0 (10 dB) is beyond the 16x16 gain CDF's reach, point 1
+        # (4010 dB) beyond float64: the earlier point's error wins
+        ("16", "gain CDF for shapes (16, 16)"),
+        # at 2x2 point 0 answers, so the dB overflow of point 1 is the error
+        ("2", "SNR 4010.0 dB overflows float64"),
+    ])
+    def test_earlier_point_error_beats_db_overflow(self, capsys, n, quantity):
+        assert main(["sweep-snr", "--nt", n, "--nr", n, "--k", "1",
+                     "--rate", "68", "--snr-db", "10:4000:4010"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: " + quantity)
+
 
 class TestParserReuse:
     # each step: argv, then the files it writes, relative to its --out
