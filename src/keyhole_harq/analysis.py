@@ -17,25 +17,28 @@ evaluation, and the logs are still added in round order, so the sum is
 bitwise the round-by-round one.
 
 ``outage_curve`` evaluates a whole curve (one shape and K, many rates or
-SNRs) eagerly, as float64 arrays. It checks the shape and K once, a rate
-only when it changes (computing the threshold prefix n_t (2^R - 1) there),
-and all SNRs as one array. Each distinct round column of thresholds goes
-through the array CDF of ``specfun`` once, and the columns add in round
-order. The threshold and asymptote expressions are written once and take
-floats or arrays, with every exp and log through ``math``, so a curve point
-is bitwise the ``exact_outage`` / ``asymptotic_outage`` value. An invalid
-curve raises what the one-point calls would raise first: the error of the
-first failing point in axis order, and within it of its first failing
-round, whether a validation error or a ``DomainError``.
+SNRs) eagerly, as float64 columns: it takes ``SystemConfig``'s arguments,
+with the rate and each round's SNR a float or a sequence of n values. It
+checks the shape and K once and each column with one array test, and
+computes the threshold prefix n_t (2^R - 1) once per rate. Rounds given as
+one object, or as equal floats, share one column of thresholds; each
+distinct column goes through the array CDF of ``specfun`` once, and the
+columns add in round order. The ln t of each threshold is taken once and
+feeds both the CDF and the asymptote; ln ln snr is taken only where a
+square array's asymptote is not blank. The threshold and asymptote
+expressions are written once and take floats or arrays, with every exp and
+log through ``math``, so a curve point is bitwise the ``exact_outage`` /
+``asymptotic_outage`` value. An invalid curve raises what the one-point
+calls would raise first: the error of the first failing point in axis
+order, and within it of its first failing round, whether a validation error
+or a ``DomainError``.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -82,6 +85,19 @@ def _exp(log_value: float) -> float:
 # math.log at each element of an array; -inf at 0, where a threshold
 # underflowed and math.log raises
 _log_each = functools.partial(_each, math.log, on_error=-math.inf)
+
+
+def _log_log(snr: float) -> float:
+    return math.log(math.log(snr))
+
+
+def _log_log_each(snr):
+    """``_log_log`` at each element of the array snr where snr > 1; nan
+    elsewhere, where a square array's asymptote is blank."""
+    out = np.full(snr.shape, math.nan)
+    up = np.flatnonzero(snr > 1.0)
+    out[up] = _each(math.log, _each(math.log, snr[up]))
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -132,12 +148,12 @@ class _Rounds:
             raise self.threshold_error(rate, snr)
         return t
 
-    def term(self, t, snr, log=math.log):
-        """Log of one round's leading high-SNR term at threshold t: a float
-        t > 0, or an array with log ``_log_each`` (-inf where t is 0)."""
+    def term(self, log_t, snr, log_log=_log_log):
+        """Log of one round's leading high-SNR term from ln t: floats, or
+        arrays with ``log_log`` the array form of ``_log_log``."""
         if self.tau == 0:
-            return self.n_t * log(t) + log(log(snr)) - self.log_n - self.lg2
-        return self.lead + self.m * log(t) - self.log_m
+            return self.n_t * log_t + log_log(snr) - self.log_n - self.lg2
+        return self.lead + self.m * log_t - self.log_m
 
     def exact(self, rate: float, snrs: tuple) -> float:
         log_cdf = {}
@@ -167,136 +183,116 @@ class _Rounds:
             if v is None:
                 # a threshold that underflowed to 0 gives -inf, as rate 0
                 t = self.threshold(rate, snr)
-                v = terms[snr] = self.term(t, snr) if t else -math.inf
+                v = terms[snr] = (self.term(math.log(t), snr) if t
+                                  else -math.inf)
             log_p += v
         return log_p
 
-    def curve(self, runs: list, snrs) -> tuple:
+    def curve(self, rates, gains, snrs: list, col: list) -> tuple:
         """``exact`` and ``asymptotic`` at every point of a curve at once.
 
-        Point i has the checked SNRs snrs[i] (a points x rounds float64
-        array); runs lists (first point, checked rate, its ``gain``) for
-        every point where the rate changes. Returns the list of exact logs
-        and the list of asymptotic logs, None where ``asymptotic`` raises or
-        its exp overflows. Raises the error of the first point, and within
-        it of the first round, where ``exact`` raises.
+        Point i has the checked rate rates[i], its ``gain`` gains[i], and in
+        round j the checked SNR snrs[col[j]][i]: snrs holds the distinct
+        round columns, float64 arrays like rates and gains. Returns the list
+        of exact logs and the list of asymptotic logs, None where
+        ``asymptotic`` raises or its exp overflows. Raises the error of the
+        first point, and within it of the first round, where ``exact``
+        raises.
         """
-        n, k = snrs.shape
-        runs = [run for run in runs if run[0] < n]
-        starts = [run[0] for run in runs]
-        gains = np.repeat([run[2] for run in runs], np.diff(starts + [n]))
-        # rounds with the same SNR at every point share one column, as the
-        # one-point memo shares their values; columns add in round order
-        first = [next(u for u in range(j + 1)
-                      if np.array_equal(snrs[:, u], snrs[:, j]))
-                 for j in range(k)]
-        distinct = sorted(set(first))
-        col = [distinct.index(u) for u in first]
         with np.errstate(all="ignore"):
-            snr = snrs[:, distinct]
-            t = gains[:, None] / snr
+            # thresholds: one row per distinct round column
+            t = np.vstack([gains / s for s in snrs])
             finite = np.isfinite(t)
+            x = t[finite]
+            log_x = _log_each(x)
             log_cdf = np.full(t.shape, math.nan)
-            log_cdf[finite] = _log_cdf_many(self.n_t, self.n_r, t[finite])
-            failed = np.isnan(log_cdf[:, col])
+            log_cdf[finite] = _log_cdf_many(self.n_t, self.n_r, x, log_x)
+            failed = np.isnan(log_cdf[col]).T  # points x rounds
             if failed.any():
-                i, j = divmod(int(np.flatnonzero(failed)[0]), k)
-                if not finite[i, col[j]]:
-                    rate = runs[bisect.bisect_right(starts, i) - 1][1]
-                    raise self.threshold_error(rate, float(snrs[i, j]))
+                i, j = divmod(int(np.flatnonzero(failed)[0]), len(col))
+                if not finite[col[j], i]:
+                    raise self.threshold_error(float(rates[i]),
+                                               float(snrs[col[j]][i]))
                 raise _cdf_domain_error(self.n_t, self.n_r,
-                                        float(t[i, col[j]]))
-            terms = [self.term(t[:, d], snr[:, d], _log_each)
-                     for d in range(len(distinct))]
+                                        float(t[col[j], i]))
+            # every threshold is finite here, so x is t in full
+            log_t = log_x.reshape(t.shape)
+            terms = [self.term(log_t[d], s, _log_log_each)
+                     for d, s in enumerate(snrs)]
             log_exact = log_asy = 0.0
             for d in col:
-                log_exact = log_exact + log_cdf[:, d]
+                log_exact = log_exact + log_cdf[d]
                 log_asy = log_asy + terms[d]
         # at rate 0 every threshold is 0, so log_asy is -inf as in
-        # ``asymptotic``; below exp(709) nothing overflows
-        if self.tau == 0:
-            blank = (snrs <= 1.0).any(axis=1)
-        else:
-            blank = np.zeros(n, dtype=bool)
-        big = np.flatnonzero(log_asy > 709.0)
-        log_asy = log_asy.tolist()
-        for i in big:
+        # ``asymptotic``. It is nan where a square array's SNR is <= 1 (no
+        # ln ln snr was taken), and only there; below exp(709) nothing
+        # overflows.
+        asy = log_asy.tolist()
+        for i in np.flatnonzero(~(log_asy <= 709.0)).tolist():
             try:
-                _exp(log_asy[i])
-            except DomainError:
-                blank[i] = True
-        for i in np.flatnonzero(blank):
-            log_asy[i] = None
-        return log_exact.tolist(), log_asy
+                if not math.isnan(math.exp(asy[i])):
+                    continue
+            except OverflowError:
+                pass
+            asy[i] = None
+        return log_exact.tolist(), asy
 
 
-_UNSET = object()
-# what an invalid point raises: a failed check (DomainError included, as
-# from an SNR in dB past float64), a non-number, or a malformed point
-_INVALID = (ValueError, TypeError, ArithmeticError)
+def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
+    """Exact and asymptotic log outage along a curve of n operating points.
 
-
-def _checked_snrs(rows: list, k_rounds: int, invalid):
-    """The SNR rows as a (points, rounds) float64 array, cut before the
-    first invalid row, and the error of the first invalid point.
-
-    invalid is the error of the point after the last row, or None. One
-    array check passes a curve whose rows are all valid; otherwise
-    ``check_snrs`` runs row by row, so an invalid row gets its one-point
-    error.
-    """
-    try:
-        snrs = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        snrs = None
-    if (snrs is not None and snrs.shape == (len(rows), k_rounds)
-            and (np.isfinite(snrs) & (snrs > 0.0)).all()):
-        return snrs, invalid
-    checked = []
-    for row in rows:
-        try:
-            checked.append(check_snrs(row, k_rounds))
-        except _INVALID as exc:
-            invalid = exc
-            break
-    return np.array(checked, dtype=float).reshape(len(checked), k_rounds), \
-        invalid
-
-
-def outage_curve(n_t, n_r, k_rounds, points: Iterable) -> Iterator[tuple]:
-    """Exact and asymptotic log outage along a curve of operating points.
-
-    ``points`` yields ``(rate, snr_per_round)`` pairs. Returns an iterator
-    that yields, per point, ``(log_exact, log_asymptotic)``, the
-    ``log_value`` fields of ``exact_outage`` and ``asymptotic_outage`` for
-    that point, bitwise; ``log_asymptotic`` is None where
-    ``asymptotic_outage`` raises ``DomainError``. The whole curve is
-    evaluated by the call: the shape and K are checked once, the rate
-    whenever it changes and all SNRs as one array, with ``SystemConfig``'s
-    messages. An invalid point raises, from the call, the error the
-    one-point calls in axis order would raise first: the first failing
-    point's, and within it its first round's.
+    Takes ``SystemConfig``'s arguments, with columns allowed: ``rate`` is a
+    float or a sequence of n rates, and each of the K entries of
+    ``snr_per_round`` a float or a sequence of n linear SNRs. Rounds given
+    as the same object, or as equal floats, share one CDF column. Returns
+    two lists, ``log_exact`` and ``log_asymptotic``: at each point the
+    ``log_value`` fields of ``exact_outage`` and ``asymptotic_outage``,
+    bitwise; ``log_asymptotic`` is None where ``asymptotic_outage`` raises
+    ``DomainError``. The shape and K are checked once and each column with
+    one array test. An invalid curve raises, with ``SystemConfig``'s
+    messages, the error the one-point calls in axis order would raise
+    first: the first failing point's, and within it its first round's.
     """
     n_t = check_count("n_t", n_t)
     n_r = check_count("n_r", n_r)
     k_rounds = check_count("k_rounds", k_rounds)
-    rounds = _rounds(n_t, n_r)
-    runs, rows = [], []
-    rate = _UNSET
-    invalid = None
-    try:
-        for r, snrs in points:
-            if rate is _UNSET or r != rate:
-                rate = check_rate(r)
-                runs.append((len(rows), rate, rounds.gain(rate)))
-            rows.append(snrs)
-    except _INVALID as exc:  # raised once the points before it are done
-        invalid = exc
-    snrs, invalid = _checked_snrs(rows, k_rounds, invalid)
-    log_exact, log_asy = rounds.curve(runs, snrs)
-    if invalid is not None:
-        raise invalid
-    return zip(log_exact, log_asy)
+    index = {}
+    distinct, col = [], []
+    for s in snr_per_round:
+        d = index.setdefault(s if isinstance(s, float) else (id(s),),
+                             len(distinct))
+        if d == len(distinct):
+            distinct.append(s)
+        col.append(d)
+    cols = [np.array(c, dtype=float) for c in (rate, *distinct)]
+    scalar = [not c.shape for c in cols]
+    shapes = {c.shape for c in cols} - {()}
+    if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+        raise ValueError(
+            "rate and each per-round SNR must be a float or a sequence of "
+            f"one common length; got shapes {sorted(shapes)}")
+    (n,) = shapes.pop() if shapes else (1,)
+    cols = [np.full(n, c) if one else c for c, one in zip(cols, scalar)]
+    ok = np.isfinite(cols[0]) & (cols[0] >= 0.0)
+    for c in cols[1:]:
+        ok &= np.isfinite(c) & (c > 0.0)
+    if len(col) != k_rounds:
+        ok[:] = False  # check_snrs fails at every point
+    stop = n if ok.all() else int(np.flatnonzero(~ok)[0])
+    logs = ([], [])
+    if stop:
+        rounds = _rounds(n_t, n_r)
+        rates = cols[0][:stop]
+        if scalar[0]:
+            gains = np.full(stop, rounds.gain(rates.item(0)))
+        else:
+            gains = np.fromiter(map(rounds.gain, rates.tolist()), float, stop)
+        logs = rounds.curve(rates, gains, [c[:stop] for c in cols[1:]], col)
+    if stop < n:  # the first invalid point raises after the points before it
+        check_rate(rate if scalar[0] else rate[stop])
+        check_snrs([s if scalar[1 + d] else s[stop]
+                    for s, d in zip(snr_per_round, col)], k_rounds)
+    return logs
 
 
 def outage_threshold(config: SystemConfig, round_index: int) -> float:

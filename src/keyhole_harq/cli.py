@@ -4,14 +4,16 @@ Subcommands: sweep-snr, sweep-rate, coding-gain, diversity, simulate.
 Curve commands emit CSV with the fixed header
 ``axis,exact,asymptotic,simulated,ci_low,ci_high,log10_exact`` (17
 significant digits, empty cells where a column does not apply) and, with
---json, a JSON mirror carrying run metadata. sweep-snr and sweep-rate
-evaluate their analytic columns with one eager ``outage_curve`` call over
-the axis, build the rows from its lists of Python floats, and build a
-``SystemConfig`` per point only for the simulated columns. Each CSV row is
-one %-template chosen by the curve's blank cells, the same bytes as
-formatting cell by cell. The argument parser is built once per process and
-reused by every ``main`` call. Exit codes: 0 success, 2 usage or validation
-error, including an --out path that cannot be written.
+--json, a JSON mirror carrying run metadata. A curve stays in columns
+until it becomes CSV lines: sweep-snr and sweep-rate pass the axis to one
+eager ``outage_curve`` call as a rate column or one SNR column shared by
+every round, ``CurveResult`` carries the seven CSV columns, and rows exist
+only as the CSV lines (and as ``CurveResult.points`` for the JSON mirror).
+A ``SystemConfig`` is built per point only for the simulated columns. Each
+CSV line is one %-template chosen by the curve's blank cells, the same
+bytes as formatting cell by cell. The argument parser is built once per
+process and reused by every ``main`` call. Exit codes: 0 success, 2 usage
+or validation error, including an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .analysis import (
     exact_outage,
     outage_curve,
 )
+from .errors import DomainError
 from .keyhole import SystemConfig, db_to_linear
 from .montecarlo import (
     _usable_cores,
@@ -63,8 +66,16 @@ class CurvePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class CurveResult:
+    """A curve as its CSV columns, in ``CSV_HEADER`` order, one sequence
+    each; None is a blank cell."""
+
     axis_name: str
-    points: tuple
+    columns: tuple
+
+    @property
+    def points(self) -> tuple:
+        """The rows, one ``CurvePoint`` each."""
+        return tuple(map(CurvePoint._make, zip(*self.columns)))
 
 
 def parse_range(text: str) -> list:
@@ -122,7 +133,7 @@ def _write_csv_rows(fh, curve: CurveResult) -> None:
     # row is an empty cell, a column blank in none a %.17g cell, and a column
     # blank in some rows is formatted cell by cell and inserted with %s.
     cells, columns = [], []
-    for col in zip(*curve.points):
+    for col in curve.columns:
         blanks = col.count(None)
         if blanks == len(col):
             cells.append("")
@@ -167,15 +178,20 @@ def _sim_columns(config: SystemConfig, trials: int, seed: int, lanes: int):
     return r.estimate, lo, hi
 
 
-def _curve_points(args, axis: list, point) -> tuple:
-    """One row per axis value; ``point(x)`` is its (rate, snr_per_round).
+def _at(column, i: int):
+    """Point i of a column given as a float or a sequence."""
+    return column if isinstance(column, float) else column[i]
+
+
+def _curve_columns(args, axis: list, rate, snrs: tuple) -> tuple:
+    """The CSV columns of a curve over ``axis``, whose point i has rate
+    ``_at(rate, i)`` and per-round SNRs ``_at(s, i)`` for s in snrs.
 
     The analytic columns come from one eager ``outage_curve`` evaluation
-    over the axis; a ``SystemConfig`` is built only for the simulated
+    of the columns; a ``SystemConfig`` is built only for the simulated
     columns.
     """
-    log_exact, log_asy = zip(*outage_curve(args.nt, args.nr, args.k,
-                                           map(point, axis)))
+    log_exact, log_asy = outage_curve(args.nt, args.nr, args.k, rate, snrs)
     exact = list(map(math.exp, log_exact))
     asy = [None if v is None else math.exp(v) for v in log_asy]
     log10 = [v / _LN10 for v in log_exact]
@@ -183,11 +199,11 @@ def _curve_points(args, axis: list, point) -> tuple:
     sim = lo = hi = (None,) * n
     if args.trials > 0:
         sim, lo, hi = zip(*(
-            _sim_columns(SystemConfig(args.nt, args.nr, args.k, *point(x)),
+            _sim_columns(SystemConfig(args.nt, args.nr, args.k, _at(rate, i),
+                                      tuple(_at(s, i) for s in snrs)),
                          args.trials, args.seed, args.lanes)
-            for x in axis))
-    return tuple(map(CurvePoint._make,
-                     zip(axis, exact, asy, sim, lo, hi, log10)))
+            for i in range(n)))
+    return axis, exact, asy, sim, lo, hi, log10
 
 
 def _emit_curve(args, curve: CurveResult, metadata: dict) -> int:
@@ -220,11 +236,12 @@ def _run_metadata(args) -> dict:
             "lanes": args.lanes if sim else None}
 
 
-def _sweep(args, axis_name: str, axis: list, point, axis_meta: dict) -> int:
-    """A curve over ``axis``; ``axis_meta`` holds the mirror's axis flags
-    in the order they are written."""
+def _sweep(args, axis_name: str, axis: list, rate, snrs: tuple,
+           axis_meta: dict) -> int:
+    """A curve over ``axis`` (see ``_curve_columns``); ``axis_meta`` holds
+    the mirror's axis flags in the order they are written."""
     curve = CurveResult(axis_name=axis_name,
-                        points=_curve_points(args, axis, point))
+                        columns=_curve_columns(args, axis, rate, snrs))
     meta = {
         "command": args.command,
         "n_t": args.nt, "n_r": args.nr, "k_rounds": args.k,
@@ -235,27 +252,33 @@ def _sweep(args, axis_name: str, axis: list, point, axis_meta: dict) -> int:
 
 
 def _cmd_sweep_snr(args) -> int:
-    return _sweep(args, "snr_db", parse_range(args.snr_db),
-                  lambda db: (args.rate, (db_to_linear(db),) * args.k),
+    axis = parse_range(args.snr_db)
+    snr = []
+    try:
+        for db in axis:
+            snr.append(db_to_linear(db))
+    except DomainError:
+        # an error of the points before the overflowing one comes first
+        outage_curve(args.nt, args.nr, args.k, args.rate, (snr,) * args.k)
+        raise
+    return _sweep(args, "snr_db", axis, args.rate, (snr,) * args.k,
                   {"rate": args.rate, "snr_db": args.snr_db})
 
 
 def _cmd_sweep_rate(args) -> int:
     axis = parse_range(args.rate)
-    snrs = parse_gamma_db(args.gamma_db, args.k)
-    return _sweep(args, "rate", axis, lambda rate: (rate, snrs),
+    return _sweep(args, "rate", axis, axis,
+                  parse_gamma_db(args.gamma_db, args.k),
                   {"gamma_db": args.gamma_db, "rate": args.rate})
 
 
 def _cmd_coding_gain(args) -> int:
     axis = parse_range(args.rate)
-    points = []
-    for rate in axis:
-        config = SystemConfig.equal_snr(args.nt, args.nr, 1, rate, 1.0)
-        c = coding_gain(config)
-        points.append(CurvePoint(axis=rate, exact=c,
-                                 log10_exact=math.log10(c)))
-    curve = CurveResult(axis_name="rate", points=tuple(points))
+    gains = [coding_gain(SystemConfig.equal_snr(args.nt, args.nr, 1, r, 1.0))
+             for r in axis]
+    blank = (None,) * len(axis)
+    curve = CurveResult(axis_name="rate", columns=(
+        axis, gains, blank, blank, blank, blank, list(map(math.log10, gains))))
     meta = {
         "command": "coding-gain",
         "n_t": args.nt, "n_r": args.nr, "rate": args.rate,

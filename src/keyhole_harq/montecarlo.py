@@ -22,6 +22,9 @@ matrix with the grouping numpy's ``add.reduce`` gives a row of that length
 (see ``_sum``), which keeps every gain equal to a row ``.sum()`` of the
 exponentials. The batch size only sets the working set, sized to stay in a
 core's cache; it cannot change a gain or a count.
+
+``numpy.random`` is reached as ``np.random``, which numpy imports on first
+use, so a process that never simulates never imports it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .analysis import exact_outage, outage_threshold
 from .errors import SimulationInfeasibleError
@@ -89,9 +91,9 @@ def sample_round_gains(
     comparing different round budgets.
     """
     pad = _padded_draws(n_t, n_r, rounds)
-    bitgen = Philox(key=seed)
+    bitgen = np.random.Philox(key=seed)
     bitgen.advance(first_trial * (pad // 4))
-    u = Generator(bitgen).random((trials, pad))
+    u = np.random.Generator(bitgen).random((trials, pad))
     e = np.log1p(np.negative(u, out=u), out=u)  # negated exponentials
     m = n_t + n_r
     g = np.empty((trials, rounds))

@@ -406,7 +406,9 @@ def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
         fk = fk * negx
     # (-1)^tau: adding -term is subtracting term, bit for bit
     add = np.add if tab.sgn > 0.0 else np.subtract
-    xt = _each(functools.partial(pow, exp=n_t - n_r), x)
+    # x ** 0 is 1.0 for every float, so square shapes take no pow
+    xt = (_each(functools.partial(pow, exp=n_t - n_r), x) if n_t > n_r
+          else np.ones_like(x))
     xl, lx = x, logx
     idx = np.arange(x.size)
     out = np.empty_like(x)
@@ -458,30 +460,38 @@ def _use_ascending(n_t: int, n_r: int, x: float) -> bool:
 
 
 def _use_ascending_many(n_t: int, n_r: int, x, logx):
-    """``_use_ascending`` at each element of the array x.
+    """``_use_ascending`` at each element of the array x, with logx = ln x.
 
+    As in the scalar, the leading term is formed only at x >= _ASCENDING_X.
     A leading term whose exp overflows is nan here, and nan < _ASCENDING_F
     is False, as the scalar's overflow branch returns.
     """
+    asc = x < _ASCENDING_X
+    far = np.flatnonzero(~asc)
+    if not far.size:
+        return asc
     tab = _shape_table(n_t, n_r)
     m = n_r
     lgg = tab.lg_t + tab.lg_r
+    lx = logx[far]
     if n_t > n_r:
-        lead = _each(math.exp, tab.lg_tau + m * logx - lgg) / m
+        lead = _each(math.exp, tab.lg_tau + m * lx - lgg) / m
     else:
-        lead = (_each(math.exp, m * logx - lgg) * np.maximum(-logx, 1.0)
-                / m)
-    return (x < _ASCENDING_X) | (lead < _ASCENDING_F)
+        lead = _each(math.exp, m * lx - lgg) * np.maximum(-lx, 1.0) / m
+    asc[far] = lead < _ASCENDING_F
+    return asc
 
 
-def _log_cdf_many(n_t: int, n_r: int, x):
+def _log_cdf_many(n_t: int, n_r: int, x, logx):
     """``meijer_g_log_cdf`` at each element of the 1-D float64 array x.
 
-    The shapes are checked integers >= 1 and every x is finite and >= 0.
-    Each value is bitwise the one-point value; it is nan exactly where
-    ``meijer_g_log_cdf`` raises ``DomainError`` (see ``_cdf_domain_error``).
-    Only IEEE-exact arithmetic runs in numpy, in the scalar code's grouping;
-    every exp and log goes through ``math`` (``_each``).
+    The shapes are checked integers >= 1, every x is finite and >= 0, and
+    logx holds math.log of each x > 0, so the caller that also needs ln x
+    takes it once. Each value is bitwise the one-point value; it is nan
+    exactly where ``meijer_g_log_cdf`` raises ``DomainError`` (see
+    ``_cdf_domain_error``). Only IEEE-exact arithmetic runs in numpy, in the
+    scalar code's grouping; every exp and log goes through ``math``
+    (``_each``).
     """
     big, small = (n_r, n_t) if n_r > n_t else (n_t, n_r)
     out = np.full(x.shape, -math.inf)
@@ -493,7 +503,7 @@ def _log_cdf_many(n_t: int, n_r: int, x):
         return out
     with np.errstate(all="ignore"):
         xp = x[pos]
-        logx = _each(math.log, xp)
+        logx = logx[pos]
         asc = _use_ascending_many(big, small, xp, logx)
         surv = np.flatnonzero(~asc)
         if surv.size:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyhole_harq import analysis
+from keyhole_harq import analysis, specfun
 from keyhole_harq.analysis import (
     asymptotic_outage,
     coding_gain,
@@ -142,8 +142,18 @@ def _one_point_logs(n_t, n_r, k, rate, snrs):
     return _bits(exact), _bits(asy)
 
 
+def _curve(n_t, n_r, k, points):
+    """``outage_curve`` over (rate, snr_per_round) points, passed as
+    columns: one rate column and one SNR column per round. Returns the
+    (log_exact, log_asymptotic) pair of each point."""
+    rates = [rate for rate, _ in points]
+    k_given = len(points[0][1])
+    rounds = [[snrs[j] for _, snrs in points] for j in range(k_given)]
+    return list(zip(*outage_curve(n_t, n_r, k, rates, rounds)))
+
+
 def _assert_curve_matches_one_point(n_t, n_r, k, points):
-    got = [(_bits(e), _bits(a)) for e, a in outage_curve(n_t, n_r, k, points)]
+    got = [(_bits(e), _bits(a)) for e, a in _curve(n_t, n_r, k, points)]
     want = [_one_point_logs(n_t, n_r, k, rate, snrs) for rate, snrs in points]
     assert got == want, (n_t, n_r, k)
 
@@ -154,7 +164,7 @@ def _assert_same_error(n_t, n_r, k, points):
         for rate, snrs in points:
             exact_outage(SystemConfig(n_t, n_r, k, rate, snrs))
     with pytest.raises(ValueError) as got:
-        list(outage_curve(n_t, n_r, k, points))
+        _curve(n_t, n_r, k, points)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 
@@ -189,7 +199,7 @@ class TestOutageCurve:
     @pytest.mark.parametrize("n,rate", [(2, 515.0), (2, 683.0), (4, 259.0)])
     def test_overflowing_asymptote_is_none(self, n, rate):
         points = [(rate, (10.0,))]
-        (_, asy), = outage_curve(n, n, 1, points)
+        (_, asy), = _curve(n, n, 1, points)
         assert asy is None
         _assert_curve_matches_one_point(n, n, 1, points)
 
@@ -208,7 +218,7 @@ class TestOutageCurve:
             for rate, snrs in points:
                 SystemConfig(n_t, n_r, k, rate, snrs)
         with pytest.raises(ValueError) as got:
-            list(outage_curve(n_t, n_r, k, points))
+            _curve(n_t, n_r, k, points)
         assert str(got.value) == str(want.value)
 
     def test_asymptote_keeps_one_point_grouping(self):
@@ -233,7 +243,7 @@ class TestOutageCurve:
     def test_exact_errors_propagate(self):
         # an outage threshold past float64 is an error of the exact column
         with pytest.raises(DomainError, match="outage threshold"):
-            list(outage_curve(2, 2, 1, [(3.0, (10.0,)), (1024.0, (10.0,))]))
+            _curve(2, 2, 1, [(3.0, (10.0,)), (1024.0, (10.0,))])
 
     # point 3 (0-based) and point 5 each fail; the one-point loop in axis
     # order meets point 3 first, whichever kind of error it is
@@ -258,18 +268,10 @@ class TestOutageCurve:
         # CDF is beyond float64 at snr 10
         _assert_same_error(16, 16, 2, [(3.0, (10.0, 10.0)), (1019.0, snrs)])
 
-    def test_points_iterator_error_after_a_domain_error(self):
-        def points():
-            yield 68.0, (10.0,)
-            raise DomainError("SNR 4000.0 dB overflows float64")
-
-        with pytest.raises(DomainError, match="gain CDF"):
-            list(outage_curve(16, 16, 1, points()))
-
     def test_shape_past_lgamma_reach(self):
         # lgamma(tau) overflows exp for tau = 199: every x > 0 is refused
         _assert_same_error(200, 1, 1, [(3.0, (10.0,))])
-        (exact, asy), = outage_curve(200, 1, 1, [(0.0, (10.0,))])
+        (exact, asy), = _curve(200, 1, 1, [(0.0, (10.0,))])
         assert exact == -math.inf
 
     @pytest.mark.parametrize("n_t,n_r", [(2, 3), (2, 2)])
@@ -281,6 +283,41 @@ class TestOutageCurve:
         assert exact_outage(config).log_value == -math.inf
         points = [(1e-17, (10.0, 100.0)), (1e-17, (1e300, 1e300))]
         _assert_curve_matches_one_point(n_t, n_r, 2, points)
+
+    @pytest.mark.parametrize("n_t,n_r,k", [(2, 2, 3), (3, 5, 4), (16, 9, 2)])
+    def test_shared_round_column(self, n_t, n_r, k):
+        # one column object for every round, as sweep-snr passes it, gives
+        # the bits of K distinct equal columns and of the one-point calls
+        snr = [10.0 ** (db / 10.0) for db in SNR_DB]
+        shared = outage_curve(n_t, n_r, k, 2.5, (snr,) * k)
+        distinct = outage_curve(n_t, n_r, k, 2.5,
+                                [list(snr) for _ in range(k)])
+        want = [_one_point_logs(n_t, n_r, k, 2.5, (g,) * k) for g in snr]
+        for got in (shared, distinct):
+            assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
+
+    @pytest.mark.parametrize("gammas", [(10.0, 10.0), (0.5, 10.0, 3.0)])
+    def test_rate_column_with_per_round_floats(self, gammas):
+        # as sweep-rate passes them: a rate column, one float per round
+        rates = [0.25 * i for i in range(25)]
+        for n_t, n_r in [(2, 2), (4, 1), (3, 5)]:
+            got = outage_curve(n_t, n_r, len(gammas), rates, gammas)
+            want = [_one_point_logs(n_t, n_r, len(gammas), r, gammas)
+                    for r in rates]
+            assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
+
+    def test_no_per_element_fallback_from_0_db(self, monkeypatch):
+        # 0 dB blanks a square array's asymptote; its ln ln snr must not be
+        # taken, or the whole column falls back to element-by-element math
+        def fallback(*args):
+            raise AssertionError("per-element fallback ran")
+
+        snr = [10.0 ** (0.25 * i / 10.0) for i in range(281)]
+        want = [_one_point_logs(4, 4, 2, 3.0, (g, g)) for g in snr]
+        monkeypatch.setattr(specfun, "_or", fallback)
+        got = outage_curve(4, 4, 2, 3.0, (snr, snr))
+        assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
+        assert got[1][0] is None
 
 
 class TestAsymptoticOutage:

@@ -45,7 +45,19 @@ def read_curve_csv(path, axis_name: str = "axis") -> CurveResult:
             raise ValueError(f"malformed row {row!r}")
         vals = [None if cell == "" else float(cell) for cell in row]
         points.append(CurvePoint(*vals))
-    return CurveResult(axis_name=axis_name, points=tuple(points))
+    return CurveResult(axis_name=axis_name, columns=_columns(points))
+
+
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports the package from
+    this checkout's src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
+def _columns(points) -> tuple:
+    """The CSV columns of a list of ``CurvePoint`` rows."""
+    return tuple(zip(*points)) or ((),) * len(CSV_HEADER)
 
 
 class TestParsing:
@@ -99,14 +111,15 @@ class TestCurveIO:
                        log10_exact=-math.inf),
         )
         path = tmp_path / "curve.csv"
-        write_curve_csv(path, CurveResult(axis_name="rate", points=pts))
+        write_curve_csv(path, CurveResult(axis_name="rate",
+                                          columns=_columns(pts)))
         back = read_curve_csv(path, axis_name="rate")
         assert back.axis_name == "rate"
         assert back.points == pts
 
     def test_header_is_fixed(self, tmp_path):
         path = tmp_path / "c.csv"
-        write_curve_csv(path, CurveResult(axis_name="x", points=()))
+        write_curve_csv(path, CurveResult(axis_name="x", columns=_columns(())))
         assert path.read_text().splitlines()[0] == EXPECTED_HEADER
 
     def test_read_rejects_foreign_header(self, tmp_path):
@@ -377,6 +390,31 @@ class TestSimulate:
         rc = main(argv)
         assert proc.stdout == capsys.readouterr().out != ""
         assert proc.returncode == rc == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["simulate", "--trials", "1000", "--seed", "7", "--lanes", "1"],
+    ])
+    def test_python_m_package_matches_main(self, capsys, argv):
+        proc = subprocess.run([sys.executable, "-m", "keyhole_harq", *argv],
+                              capture_output=True, text=True, env=_src_env())
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # --version exits from argparse
+            rc = exc.code
+        assert proc.stdout == capsys.readouterr().out != ""
+        assert proc.returncode == rc == 0
+
+    def test_curves_do_not_import_numpy_random(self, tmp_path):
+        # only the simulator draws; a curve-only process never imports it
+        code = ("import sys\n"
+                "from keyhole_harq.cli import main\n"
+                f"assert main(['sweep-snr', '--out', {str(tmp_path / 'c.csv')!r}]"
+                ") == 0\n"
+                "print('numpy.random' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_src_env())
+        assert proc.stdout == "False\n", proc.stderr
 
 
 class TestDomainEdges:

@@ -1,0 +1,141 @@
+"""Before/after benchmark: a parent commit against this checkout, in pairs.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --workloads snr_curves \
+        mc_long --seeds 1 2 --pairs 5 --seconds 50 --out BENCH.json
+
+The parent's committed files are extracted with ``git archive`` into a
+scratch directory (``--workdir``, a new temporary directory by default), so
+the repository's own worktrees and index are left alone. For every workload
+and seed, ``perfbench/run.py`` then runs from each side's own checkout, one
+side after the other, ``--pairs`` times; the side that goes first alternates
+from pair to pair, so a drift of the machine's speed hits both sides alike.
+
+The output JSON records, for each workload, seed and end-to-end metric of
+``BENCHMARK.json``: every run's value on both sides, their medians and
+interquartile ranges (inclusive quartiles), each pair's ratio, the median
+ratio, and how many pairs each side won. A ratio above 1 means the change
+is better: change/parent for a metric where higher is better, parent/change
+where lower is. Failed operations are recorded per run as well.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def extract(ref: str, dest: Path) -> str:
+    """The committed files of ``ref`` under ``dest``; returns its hash."""
+    sha = _git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", sha))) as tar:
+        tar.extractall(dest, filter="data")
+    return sha
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run from the checkout at ``root``; its
+    result is the JSON object on the last line of its stdout."""
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _quartiles(values: list) -> list:
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(runs: dict, metrics: list) -> dict:
+    """Per metric: the runs, medians, IQRs, pair ratios and wins."""
+    out = {}
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        sides = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                 for side in ("parent", "change")}
+        ratios = [(c / p if higher else p / c) if p and c else None
+                  for p, c in zip(sides["parent"], sides["change"])]
+        known = [r for r in ratios if r is not None]
+        entry = {"unit": m["unit"], "better": m["better"]}
+        for side, vals in sides.items():
+            q1, q2, q3 = _quartiles(vals)
+            entry[side] = {"runs": vals, "median": q2, "iqr": q3 - q1}
+        entry["pair_ratios"] = ratios
+        entry["median_ratio"] = statistics.median(known) if known else None
+        entry["pairs_won"] = {"change": sum(r > 1.0 for r in known),
+                              "parent": sum(r < 1.0 for r in known)}
+        out[name] = entry
+    for side in ("parent", "change"):
+        out.setdefault("failed_ops", {})[side] = [
+            [r["failed"], r["attempted"]] for r in runs[side]]
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git ref of the parent")
+    ap.add_argument("--workloads", nargs="+",
+                    default=["snr_curves", "mc_long"])
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1])
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seconds", type=float, default=50.0)
+    ap.add_argument("--workdir", type=Path, default=None,
+                    help="scratch directory for the parent's files")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    parent_root = workdir / "parent"
+    parent_root.mkdir(parents=True)
+    sha = extract(args.parent, parent_root)
+    roots = {"parent": parent_root, "change": ROOT}
+    doc = {
+        "parent": {"ref": args.parent, "commit": sha},
+        "change": {"commit": _git("rev-parse", "HEAD").decode().strip(),
+                   "dirty": bool(_git("status", "--porcelain",
+                                      "--untracked-files=no").strip())},
+        "command": f"perfbench/run.py --seconds {args.seconds:g}",
+        "pairs": args.pairs,
+        "python": platform.python_version(),
+        "ratio": "above 1 means the change is better (change/parent where "
+                 "higher is better, parent/change where lower is)",
+        "results": {},
+    }
+    for workload in args.workloads:
+        for seed in args.seeds:
+            runs = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else \
+                    ("change", "parent")
+                for side in order:
+                    runs[side].append(run_once(roots[side], workload, seed,
+                                               args.seconds))
+                    print(f"{workload} seed {seed} pair {pair} {side}: "
+                          f"{runs[side][-1]['metrics']}", flush=True)
+            doc["results"].setdefault(workload, {})[str(seed)] = summarize(
+                runs, spec["end_to_end"])
+            args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
