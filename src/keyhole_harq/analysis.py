@@ -28,10 +28,11 @@ feeds both the CDF and the asymptote; ln ln snr is taken only where a
 square array's asymptote is not blank. The threshold and asymptote
 expressions are written once and take floats or arrays, with every exp and
 log through ``math``, so a curve point is bitwise the ``exact_outage`` /
-``asymptotic_outage`` value. An invalid curve raises what the one-point
-calls would raise first: the error of the first failing point in axis
-order, and within it of its first failing round, whether a validation error
-or a ``DomainError``.
+``asymptotic_outage`` value. The curve path only computes: where the
+one-point path would raise, its exact log is nan. The first point with such
+a nan or an invalid input is replayed through ``SystemConfig`` and the
+one-point evaluation, which raises the error the one-point calls in axis
+order would raise first, and within that point its first failing round's.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedConfigError
-from .keyhole import SystemConfig, check_count, check_rate, check_snrs
-from .specfun import _cdf_domain_error, _each, _log_cdf_many, meijer_g_log_cdf
+from .keyhole import SystemConfig, check_count
+from .specfun import _each, _log_cdf_many, meijer_g_log_cdf
 
 __all__ = [
     "OutageProbability",
@@ -80,11 +81,6 @@ def _exp(log_value: float) -> float:
         raise DomainError(
             f"probability exp({log_value!r}) overflows float64"
         ) from None
-
-
-# math.log at each element of an array; -inf at 0, where a threshold
-# underflowed and math.log raises
-_log_each = functools.partial(_each, math.log, on_error=-math.inf)
 
 
 def _log_log(snr: float) -> float:
@@ -136,16 +132,13 @@ class _Rounds:
         except OverflowError:
             return math.inf
 
-    def threshold_error(self, rate: float, snr: float) -> DomainError:
-        return DomainError(
-            f"outage threshold n_t (2^R - 1) / snr overflows float64 at "
-            f"n_t {self.n_t}, rate {rate!r}, snr {snr!r}"
-        )
-
     def threshold(self, rate: float, snr: float) -> float:
         t = self.gain(rate) / snr
         if not math.isfinite(t):
-            raise self.threshold_error(rate, snr)
+            raise DomainError(
+                f"outage threshold n_t (2^R - 1) / snr overflows float64 at "
+                f"n_t {self.n_t}, rate {rate!r}, snr {snr!r}"
+            )
         return t
 
     def term(self, log_t, snr, log_log=_log_log):
@@ -188,35 +181,27 @@ class _Rounds:
             log_p += v
         return log_p
 
-    def curve(self, rates, gains, snrs: list, col: list) -> tuple:
+    def curve(self, gains, snrs: list, col: list) -> tuple:
         """``exact`` and ``asymptotic`` at every point of a curve at once.
 
-        Point i has the checked rate rates[i], its ``gain`` gains[i], and in
-        round j the checked SNR snrs[col[j]][i]: snrs holds the distinct
-        round columns, float64 arrays like rates and gains. Returns the list
-        of exact logs and the list of asymptotic logs, None where
-        ``asymptotic`` raises or its exp overflows. Raises the error of the
-        first point, and within it of the first round, where ``exact``
-        raises.
+        Point i has the ``gain`` gains[i] of a checked rate, and in round j
+        the checked SNR snrs[col[j]][i]: snrs holds the distinct round
+        columns, float64 arrays like gains. Returns the float64 array of
+        exact logs, nan exactly where ``exact`` raises, and the list of
+        asymptotic logs, None where ``asymptotic`` raises or its exp
+        overflows at a point with an exact log.
         """
         with np.errstate(all="ignore"):
             # thresholds: one row per distinct round column
             t = np.vstack([gains / s for s in snrs])
+            # ln t; -inf at 0 (rate 0, or an underflowed threshold)
+            log_t = np.full(t.shape, -math.inf)
+            pos = t > 0.0
+            log_t[pos] = _each(math.log, t[pos])
             finite = np.isfinite(t)
-            x = t[finite]
-            log_x = _log_each(x)
             log_cdf = np.full(t.shape, math.nan)
-            log_cdf[finite] = _log_cdf_many(self.n_t, self.n_r, x, log_x)
-            failed = np.isnan(log_cdf[col]).T  # points x rounds
-            if failed.any():
-                i, j = divmod(int(np.flatnonzero(failed)[0]), len(col))
-                if not finite[col[j], i]:
-                    raise self.threshold_error(float(rates[i]),
-                                               float(snrs[col[j]][i]))
-                raise _cdf_domain_error(self.n_t, self.n_r,
-                                        float(t[col[j], i]))
-            # every threshold is finite here, so x is t in full
-            log_t = log_x.reshape(t.shape)
+            log_cdf[finite] = _log_cdf_many(self.n_t, self.n_r, t[finite],
+                                            log_t[finite])
             terms = [self.term(log_t[d], s, _log_log_each)
                      for d, s in enumerate(snrs)]
             log_exact = log_asy = 0.0
@@ -225,8 +210,8 @@ class _Rounds:
                 log_asy = log_asy + terms[d]
         # at rate 0 every threshold is 0, so log_asy is -inf as in
         # ``asymptotic``. It is nan where a square array's SNR is <= 1 (no
-        # ln ln snr was taken), and only there; below exp(709) nothing
-        # overflows.
+        # ln ln snr was taken), and, at a point that raises for its
+        # overflowed threshold, inf or nan; below exp(709) nothing overflows.
         asy = log_asy.tolist()
         for i in np.flatnonzero(~(log_asy <= 709.0)).tolist():
             try:
@@ -235,7 +220,7 @@ class _Rounds:
             except OverflowError:
                 pass
             asy[i] = None
-        return log_exact.tolist(), asy
+        return log_exact, asy
 
 
 def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
@@ -249,9 +234,9 @@ def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
     ``log_value`` fields of ``exact_outage`` and ``asymptotic_outage``,
     bitwise; ``log_asymptotic`` is None where ``asymptotic_outage`` raises
     ``DomainError``. The shape and K are checked once and each column with
-    one array test. An invalid curve raises, with ``SystemConfig``'s
-    messages, the error the one-point calls in axis order would raise
-    first: the first failing point's, and within it its first round's.
+    one array test. The first point with an invalid input or a nan exact
+    log is replayed through ``SystemConfig`` and the one-point evaluation,
+    so a curve raises what the one-point calls in axis order raise first.
     """
     n_t = check_count("n_t", n_t)
     n_r = check_count("n_r", n_r)
@@ -279,20 +264,26 @@ def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
     if len(col) != k_rounds:
         ok[:] = False  # check_snrs fails at every point
     stop = n if ok.all() else int(np.flatnonzero(~ok)[0])
-    logs = ([], [])
+    rounds = _rounds(n_t, n_r)
+    log_exact, log_asy = np.empty(0), []
     if stop:
-        rounds = _rounds(n_t, n_r)
-        rates = cols[0][:stop]
         if scalar[0]:
-            gains = np.full(stop, rounds.gain(rates.item(0)))
+            gains = np.full(stop, rounds.gain(cols[0].item(0)))
         else:
-            gains = np.fromiter(map(rounds.gain, rates.tolist()), float, stop)
-        logs = rounds.curve(rates, gains, [c[:stop] for c in cols[1:]], col)
-    if stop < n:  # the first invalid point raises after the points before it
-        check_rate(rate if scalar[0] else rate[stop])
-        check_snrs([s if scalar[1 + d] else s[stop]
-                    for s, d in zip(snr_per_round, col)], k_rounds)
-    return logs
+            gains = np.fromiter(map(rounds.gain, cols[0][:stop].tolist()),
+                                float, stop)
+        log_exact, log_asy = rounds.curve(
+            gains, [c[:stop] for c in cols[1:]], col)
+    failed = np.flatnonzero(np.isnan(log_exact))
+    first = int(failed[0]) if failed.size else stop
+    if first < n:  # the one-point path raises the first failing point's error
+        v = exact_outage(SystemConfig(
+            n_t, n_r, k_rounds, rate if scalar[0] else rate[first],
+            [s if scalar[1 + d] else s[first]
+             for s, d in zip(snr_per_round, col)]))
+        raise RuntimeError(f"curve point {first} is nan in the array path "
+                           f"only; its one-point log is {v.log_value!r}")
+    return log_exact.tolist(), log_asy
 
 
 def outage_threshold(config: SystemConfig, round_index: int) -> float:

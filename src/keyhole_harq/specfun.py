@@ -26,16 +26,19 @@ The public functions are plain float64 arithmetic on the standard library's
 A whole curve evaluates through the private array forms (``_log_cdf_many``
 and the ``*_many`` helpers it calls): the branch choice, both series and the
 Chebyshev K_0/K_1 fits over a float64 array of x. Each value is bitwise the
-one-point value. Small-argument K_0/K_1 (r <= 2) runs point by point through
-the one-point series (``_k01_scaled``): few survival points reach it (1.2%
-of the points of a typical sweep, about 30 per call), and an array term loop
-has a fixed cost of about 0.2 ms, more than the scalar series at that size.
+one-point value, and nan where the one-point call raises: the array forms
+decide no error, and ``outage_curve`` replays such a point. Small-argument
+K_0/K_1 (r <= 2) runs point by point through the one-point series
+(``_k01_scaled``): few survival points reach it (1.2% of the points of a
+typical sweep, about 30 per call), and an array term loop has a fixed cost
+of about 0.2 ms, more than the scalar series at that size.
 Only IEEE-exact operations run in numpy (``+ - * /``, ``sqrt``, ``abs``,
 comparisons, ``maximum``), elementwise and in the one-point code's
 left-to-right grouping; every exp, log, log1p and ``**`` goes through
 ``math`` one element at a time (``_each``), because numpy's vectorised ones
-may differ in the last bit. No series sum uses a numpy reduction: a term loop adds one term per step to every live point, and a
-point leaves the live set at the very term where the one-point loop stops.
+may differ in the last bit. No series sum uses a numpy reduction: a term
+loop adds one term per step to every live point, under a mask, and a point
+stops being live at the very term where the one-point loop stops.
 ``_clenshaw`` and the upward recurrence are written once and take floats or
 arrays. A one-element array call costs far more than a one-point call, so
 ``meijer_g_log_cdf`` stays scalar.
@@ -66,27 +69,27 @@ __all__ = [
 ]
 
 
-def _each(fn, a, on_error: float = math.nan):
+def _each(fn, a):
     """fn, a ``math`` function of one float, at each element of the float64
     array a, one element at a time.
 
     numpy's own exp, log, log1p and power may differ from ``math`` in the
     last bit, so the array path takes every transcendental from here. An
-    element where fn raises gets on_error.
+    element where fn raises gets nan.
     """
     vals = a.ravel().tolist()
     try:
         out = np.fromiter(map(fn, vals), float, len(vals))
     except (OverflowError, ValueError):
-        out = np.array([_or(fn, v, on_error) for v in vals], dtype=float)
+        out = np.array([_or(fn, v) for v in vals], dtype=float)
     return out.reshape(a.shape)
 
 
-def _or(fn, v: float, on_error: float) -> float:
+def _or(fn, v: float) -> float:
     try:
         return fn(v)
     except (OverflowError, ValueError):
-        return on_error
+        return math.nan
 
 
 # Chebyshev coefficients of sqrt(x) e^x K_nu(x) in s = 4/x - 1, x in [2, inf).
@@ -394,8 +397,9 @@ def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
     """``_cdf_ascending`` at each element of the array x; nan where it
     raises.
 
-    An element leaves the live set at the term where the scalar loop
-    breaks, so its sum has exactly the scalar's terms.
+    A term is added only to the live points, and a point stops being live
+    at the term where the scalar loop breaks, so its sum has exactly the
+    scalar's terms.
     """
     tab = _shape_table(n_t, n_r)
     g = np.zeros_like(x)
@@ -409,26 +413,16 @@ def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
     # x ** 0 is 1.0 for every float, so square shapes take no pow
     xt = (_each(functools.partial(pow, exp=n_t - n_r), x) if n_t > n_r
           else np.ones_like(x))
-    xl, lx = x, logx
-    idx = np.arange(x.size)
-    out = np.empty_like(x)
+    live = np.ones(x.shape, dtype=bool)
     for k, (fact, bk, c) in enumerate(zip(tab.fact, tab.big_k, tab.psi)):
-        term = xt * fact / bk * (c - lx)
-        g = add(g, term)
+        term = xt * fact / bk * (c - logx)
+        add(g, term, out=g, where=live)
         if k >= 2:
-            done = np.abs(term) < 1e-17 * np.abs(g)
-            hit = done.nonzero()[0]
-            if hit.size:
-                out[idx[hit]] = g[hit]
-                keep = ~done
-                idx, g, xt, xl, lx = (idx[keep], g[keep], xt[keep], xl[keep],
-                                      lx[keep])
-                if not idx.size:
-                    break
-        xt = xt * xl
-    else:
-        out[idx] = g
-    return n_r * logx + _each(math.log, out) - tab.lg_t - tab.lg_r
+            live &= ~(np.abs(term) < 1e-17 * np.abs(g))
+            if not live.any():
+                break
+        xt = xt * x
+    return n_r * logx + _each(math.log, g) - tab.lg_t - tab.lg_r
 
 
 # Switch away from 1 - S(x) when the result would be dominated by
@@ -488,10 +482,9 @@ def _log_cdf_many(n_t: int, n_r: int, x, logx):
     The shapes are checked integers >= 1, every x is finite and >= 0, and
     logx holds math.log of each x > 0, so the caller that also needs ln x
     takes it once. Each value is bitwise the one-point value; it is nan
-    exactly where ``meijer_g_log_cdf`` raises ``DomainError`` (see
-    ``_cdf_domain_error``). Only IEEE-exact arithmetic runs in numpy, in the
-    scalar code's grouping; every exp and log goes through ``math``
-    (``_each``).
+    exactly where ``meijer_g_log_cdf`` raises ``DomainError``. Only
+    IEEE-exact arithmetic runs in numpy, in the scalar code's grouping;
+    every exp and log goes through ``math`` (``_each``).
     """
     big, small = (n_r, n_t) if n_r > n_t else (n_t, n_r)
     out = np.full(x.shape, -math.inf)
@@ -519,14 +512,6 @@ def _log_cdf_many(n_t: int, n_r: int, x, logx):
             out[pos[sel]] = _cdf_ascending_many(big, small, xp[sel],
                                                 logx[sel])
     return out
-
-
-def _cdf_domain_error(n_t, n_r, x: float) -> DomainError:
-    """The error of a gain CDF that neither series can evaluate at x."""
-    return DomainError(
-        f"gain CDF for shapes ({n_t}, {n_r}) at x = {x!r} is beyond "
-        "float64 reach of both the ascending and the survival series"
-    )
 
 
 def meijer_g_log_cdf(n_t, n_r, x: float) -> float:
@@ -558,7 +543,10 @@ def meijer_g_log_cdf(n_t, n_r, x: float) -> float:
     except (OverflowError, ValueError):
         log_f = math.nan
     if math.isnan(log_f):
-        raise _cdf_domain_error(n_t, n_r, x)
+        raise DomainError(
+            f"gain CDF for shapes ({n_t}, {n_r}) at x = {x!r} is beyond "
+            "float64 reach of both the ascending and the survival series"
+        )
     return log_f
 
 

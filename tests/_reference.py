@@ -1,9 +1,9 @@
 """Independent high-precision oracles used only by the tests.
 
 Everything here except ``package_pdf_integral`` is computed with mpmath
-from first principles (integral representations and the defining density),
-deliberately avoiding the code paths under test so that agreement is
-evidence rather than tautology.
+(integral representations, the Meijer-G function and a positive Bessel
+series), deliberately avoiding the code paths under test so that agreement
+is evidence rather than tautology.
 """
 
 import math
@@ -30,33 +30,75 @@ def bessel_k_integral(order: int, x: float, dps: int = 40) -> float:
         return float(val)
 
 
-def _erlang_product_cdf(n_t: int, n_r: int, xm):
-    """P(AB <= x) = E_B[P(A <= x/B)] at the caller's working precision.
+def _meijerg_log_cdf(n_t: int, n_r: int, x: float):
+    """ln F(x) of the product of two unit-scale Erlang variables, as an mpf.
 
-    Integrates the conditional Erlang CDF of A against the density of B.
+    F = G^{2,1}_{1,3}(x | 1; n_t, n_r, 0) / (Gamma(n_t) Gamma(n_r)) through
+    ``mpmath.meijerg``, at doubling precision until two precisions agree to
+    1e-20 relative.
     """
+    prev = None
+    dps = 30
+    while dps <= 480:
+        with mp.workdps(dps):
+            g = mp.meijerg([[1], []], [[n_t, n_r], [0]], mp.mpf(x))
+            v = mp.log(g) - mp.loggamma(n_t) - mp.loggamma(n_r)
+        if prev is not None and abs(v - prev) <= 1e-20 * max(1.0, abs(v)):
+            return v
+        prev = v
+        dps *= 2
+    raise ArithmeticError(f"meijerg did not settle at ({n_t}, {n_r}, {x!r})")
 
-    def integrand(b):
-        return (mp.gammainc(n_t, 0, xm / b, regularized=True)
-                * b ** (n_r - 1) * mp.e ** (-b) / mp.gamma(n_r))
 
-    return mp.quad(integrand, [0, xm, mp.inf])
+def gain_cdf_oracle(n_t: int, n_r: int, x: float) -> float:
+    """CDF of the product of two unit-scale Erlang variables."""
+    if x <= 0:
+        return 0.0
+    return float(mp.exp(_meijerg_log_cdf(n_t, n_r, x)))
 
 
-def gain_cdf_quadrature(n_t: int, n_r: int, x: float, dps: int = 50) -> float:
-    """CDF of the product of two unit-mean-scale Erlang variables."""
+def gain_log_cdf_oracle(n_t: int, n_r: int, x: float) -> float:
+    """ln of gain_cdf_oracle, stable far into the lower tail."""
+    return float(_meijerg_log_cdf(n_t, n_r, x))
+
+
+def gain_log_cdf_series(n_t: int, n_r: int, x: float,
+                        dps: int = 80) -> float:
+    """ln F(x) from a series of positive terms, independent of Meijer-G.
+
+    Conditioning on the variable B of the larger shape M, with m the
+    smaller one, E_B[B^{-j} e^{-x/B}] = (2/Gamma(M)) x^{(M-j)/2}
+    K_{M-j}(2 sqrt x) (DLMF 10.32.10) gives
+
+      F(x) = (2/Gamma(M)) sum_{j>=m} x^{(j+M)/2} K_{j-M}(2 sqrt x) / j!.
+
+    The orders come from mpmath's K_0 and K_1 and the upward recurrence.
+    Once nu = j - M >> x the term ratio tends to (j - M)/(j + 1), so the
+    terms fall like j^{-M-1} and the tail past term j is t_j (j - M)/M up to
+    a relative O(x / nu); the sum stops where that error is below 1e-20 of
+    it and adds the tail.
+    """
+    m, big = min(n_t, n_r), max(n_t, n_r)
     with mp.workdps(dps):
         xm = mp.mpf(x)
-        if xm <= 0:
-            return 0.0
-        return float(_erlang_product_cdf(n_t, n_r, xm))
-
-
-def gain_log_cdf_quadrature(n_t: int, n_r: int, x: float,
-                            dps: int = 60) -> float:
-    """ln of gain_cdf_quadrature, stable far into the lower tail."""
-    with mp.workdps(dps):
-        return float(mp.log(_erlang_product_cdf(n_t, n_r, mp.mpf(x))))
+        z = 2 * mp.sqrt(xm)
+        ks = [mp.besselk(0, z), mp.besselk(1, z)]
+        p = xm ** (mp.mpf(m + big) / 2) / mp.factorial(m)
+        total = mp.mpf(0)
+        j = m
+        while True:
+            nu = j - big
+            while len(ks) <= abs(nu):
+                n = len(ks) - 1
+                ks.append(ks[n - 1] + 2 * n / z * ks[n])
+            t = p * ks[abs(nu)]
+            total += t
+            if nu > 2 * xm and t * j / big * xm / nu < 1e-20 * total:
+                total += t * nu / big
+                break
+            p = p * mp.sqrt(xm) / (j + 1)
+            j += 1
+        return float(mp.log(2 * total) - mp.loggamma(big))
 
 
 def package_pdf_integral(pdf, n_t: int, n_r: int, upper: float,
@@ -82,7 +124,7 @@ def outage_exact(n_t: int, n_r: int, rates_snrs, dps: int = 50) -> float:
         total = mp.mpf(1)
         for rate, snr in rates_snrs:
             thr = n_t * (mp.mpf(2) ** rate - 1) / snr
-            total *= mp.mpf(gain_cdf_quadrature(n_t, n_r, float(thr), dps))
+            total *= mp.mpf(gain_cdf_oracle(n_t, n_r, float(thr)))
         return float(total)
 
 

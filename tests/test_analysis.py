@@ -319,6 +319,64 @@ class TestOutageCurve:
         assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
         assert got[1][0] is None
 
+    def test_no_per_element_fallback_at_rate_0(self, monkeypatch):
+        # rate 0 makes every threshold 0, whose log is -inf: it must not
+        # send the column through element-by-element math either
+        def fallback(*args):
+            raise AssertionError("per-element fallback ran")
+
+        snr = [10.0 ** (0.25 * i / 10.0) for i in range(281)]
+        want = [_one_point_logs(3, 2, 2, 0.0, (g, g)) for g in snr]
+        monkeypatch.setattr(specfun, "_or", fallback)
+        got = outage_curve(3, 2, 2, 0.0, (snr, snr))
+        assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
+
+    def test_nan_the_one_point_path_answers_raises(self, monkeypatch):
+        # a nan of the array path that the one-point replay does not raise
+        # for is an error, never a returned value
+        monkeypatch.setattr(analysis, "_log_cdf_many",
+                            lambda n_t, n_r, x, logx: x * math.nan)
+        with pytest.raises(RuntimeError, match="curve point 0"):
+            outage_curve(2, 2, 1, 3.0, ([10.0, 100.0],))
+
+    # rates and SNRs that fail somewhere: rate 68 is a CDF beyond float64
+    # at 16x16, rates from 1024 overflow the threshold, and shape
+    # (173, 1) refuses every x > 0. Valid values are drawn 8 times as
+    # often as the others, so that a fair share of curves raise nothing.
+    RATES = st.sampled_from([0.0, 0.5, 1.0, 3.0, 6.0, 68.0] * 8
+                            + [1024.0, 1e4, -1.0, math.nan])
+    SNRS = st.sampled_from([10.0, 1e3, 0.5, 2.0, 1e6] * 8 + [0.0, math.inf])
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.sampled_from([(2, 3), (4, 4), (16, 16), (173, 1)]),
+           k=st.integers(1, 3), shared=st.booleans(),
+           data=st.data())
+    def test_matches_one_point_loop(self, shape, k, shared, data):
+        # values bitwise the one-point values, or the error the one-point
+        # loop in axis order raises first, type and message
+        n_t, n_r = shape
+        n = data.draw(st.integers(1, 12))
+        rates = data.draw(st.lists(self.RATES, min_size=n, max_size=n))
+        if shared:  # one column object for every round, as sweep-snr
+            col = data.draw(st.lists(self.SNRS, min_size=n, max_size=n))
+            rounds = (col,) * k
+        else:
+            rounds = [data.draw(st.lists(self.SNRS, min_size=n, max_size=n))
+                      for _ in range(k)]
+        points = [(rate, tuple(r[i] for r in rounds))
+                  for i, rate in enumerate(rates)]
+        try:
+            want = [_one_point_logs(n_t, n_r, k, rate, snrs)
+                    for rate, snrs in points]
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                outage_curve(n_t, n_r, k, rates, rounds)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+        else:
+            got = outage_curve(n_t, n_r, k, rates, rounds)
+            assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
+
 
 class TestAsymptoticOutage:
     def test_hand_value_asymmetric(self):

@@ -27,8 +27,9 @@ from keyhole_harq.specfun import (
 
 from _reference import (
     bessel_k_integral,
-    gain_cdf_quadrature,
-    gain_log_cdf_quadrature,
+    gain_cdf_oracle,
+    gain_log_cdf_oracle,
+    gain_log_cdf_series,
     package_pdf_integral,
 )
 
@@ -189,14 +190,24 @@ class TestGainCdf:
     @pytest.mark.parametrize("n_r", [1, 2, 3])
     @pytest.mark.parametrize("x", [1e-3, 0.3, 4.0])
     def test_against_nested_quadrature_oracle(self, n_t, n_r, x):
-        assert rel_err(meijer_g_cdf(n_t, n_r, x), gain_cdf_quadrature(n_t, n_r, x)) < 1e-11
+        assert rel_err(meijer_g_cdf(n_t, n_r, x), gain_cdf_oracle(n_t, n_r, x)) < 1e-11
 
     def test_deep_tail_log_against_oracle(self):
         # F ~ 2.6e-10 here; the linear-domain oracle would lose precision,
         # so compare logs directly
         got = meijer_g_log_cdf(4, 4, 0.01)
-        want = gain_log_cdf_quadrature(4, 4, 0.01)
+        want = gain_log_cdf_oracle(4, 4, 0.01)
         assert abs(got - want) < 1e-9
+
+    @pytest.mark.parametrize("n_t,n_r,x", [
+        (4, 4, 0.01), (16, 16, 40.0), (64, 64, 64.0)])
+    def test_oracle_against_positive_series(self, n_t, n_r, x):
+        # two independent routes to ln F at high precision; a nested
+        # quadrature of the Erlang CDFs gave -156.616 at (64, 64, 64), where
+        # both give -156.3472695881
+        want = gain_log_cdf_series(n_t, n_r, x)
+        assert gain_log_cdf_oracle(n_t, n_r, x) == pytest.approx(want,
+                                                                 rel=1e-15)
 
     @pytest.mark.parametrize("n_t,n_r", [(1, 1), (2, 2), (2, 3), (4, 1)])
     @pytest.mark.parametrize("x", [0.04, 1.0, 9.0])
@@ -371,7 +382,7 @@ def _mixed_bessel_args():
 
 def _log_many(x):
     """math.log of each element of x; -inf at 0."""
-    return specfun._each(math.log, x, on_error=-math.inf)
+    return np.array([math.log(v) if v else -math.inf for v in x.tolist()])
 
 
 class TestArrayLogCdf:

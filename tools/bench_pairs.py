@@ -10,12 +10,17 @@ and seed, ``perfbench/run.py`` then runs from each side's own checkout, one
 side after the other, ``--pairs`` times; the side that goes first alternates
 from pair to pair, so a drift of the machine's speed hits both sides alike.
 
+After each ``perfbench/run.py`` run, ``perfbench/crosscheck.py`` runs once
+from the same checkout, for its per-call timings of the layers (the kernel,
+the gain CDF, ``exact_outage`` and the one-lane simulator).
+
 The output JSON records, for each workload, seed and end-to-end metric of
-``BENCHMARK.json``: every run's value on both sides, their medians and
-interquartile ranges (inclusive quartiles), each pair's ratio, the median
-ratio, and how many pairs each side won. A ratio above 1 means the change
-is better: change/parent for a metric where higher is better, parent/change
-where lower is. Failed operations are recorded per run as well.
+``BENCHMARK.json``, and under ``layers`` for each crosscheck row: every
+run's value on both sides, their medians and interquartile ranges
+(inclusive quartiles), each pair's ratio, the median ratio, and how many
+pairs each side won. A ratio above 1 means the change is better:
+change/parent for a metric where higher is better, parent/change where
+lower is. Failed operations are recorded per run as well.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import argparse
 import io
 import json
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -32,6 +38,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# a crosscheck row: its name, padded to 44 columns, then value and unit
+_ROW = re.compile(r"(?P<name>.{44}) +(?P<value>[0-9.]+) (?P<unit>us/call|"
+                  r"M trials/s)")
 
 
 def _git(*args: str) -> bytes:
@@ -56,6 +65,28 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds)],
         cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def crosscheck_once(root: Path) -> dict:
+    """One ``perfbench/crosscheck.py`` run from the checkout at ``root``, as
+    ``run_once``'s metrics: {row: {"value": ..., "unit": ...}}."""
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "crosscheck.py")],
+        cwd=root, capture_output=True, text=True, check=True)
+    rows = {}
+    for line in proc.stdout.splitlines():
+        m = _ROW.match(line)
+        if m:
+            rows[m["name"].strip()] = {"value": float(m["value"]),
+                                       "unit": m["unit"]}
+    return {"metrics": rows}
+
+
+def layer_metrics(run: dict) -> list:
+    """``summarize``'s metric list for the rows of a crosscheck run."""
+    return [{"name": name, "unit": row["unit"],
+             "better": "higher" if row["unit"] == "M trials/s" else "lower"}
+            for name, row in run["metrics"].items()]
 
 
 def _quartiles(values: list) -> list:
@@ -83,9 +114,6 @@ def summarize(runs: dict, metrics: list) -> dict:
         entry["pairs_won"] = {"change": sum(r > 1.0 for r in known),
                               "parent": sum(r < 1.0 for r in known)}
         out[name] = entry
-    for side in ("parent", "change"):
-        out.setdefault("failed_ops", {})[side] = [
-            [r["failed"], r["attempted"]] for r in runs[side]]
     return out
 
 
@@ -113,7 +141,8 @@ def main(argv=None) -> int:
         "change": {"commit": _git("rev-parse", "HEAD").decode().strip(),
                    "dirty": bool(_git("status", "--porcelain",
                                       "--untracked-files=no").strip())},
-        "command": f"perfbench/run.py --seconds {args.seconds:g}",
+        "command": f"perfbench/run.py --seconds {args.seconds:g}, then "
+                   "perfbench/crosscheck.py",
         "pairs": args.pairs,
         "python": platform.python_version(),
         "ratio": "above 1 means the change is better (change/parent where "
@@ -123,16 +152,23 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         for seed in args.seeds:
             runs = {"parent": [], "change": []}
+            layers = {"parent": [], "change": []}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else \
                     ("change", "parent")
                 for side in order:
                     runs[side].append(run_once(roots[side], workload, seed,
                                                args.seconds))
+                    layers[side].append(crosscheck_once(roots[side]))
                     print(f"{workload} seed {seed} pair {pair} {side}: "
                           f"{runs[side][-1]['metrics']}", flush=True)
-            doc["results"].setdefault(workload, {})[str(seed)] = summarize(
-                runs, spec["end_to_end"])
+            result = summarize(runs, spec["end_to_end"])
+            result["failed_ops"] = {
+                side: [[r["failed"], r["attempted"]] for r in runs[side]]
+                for side in runs}
+            result["layers"] = summarize(layers,
+                                         layer_metrics(layers["parent"][0]))
+            doc["results"].setdefault(workload, {})[str(seed)] = result
             args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
