@@ -264,9 +264,9 @@ def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
     if len(col) != k_rounds:
         ok[:] = False  # check_snrs fails at every point
     stop = n if ok.all() else int(np.flatnonzero(~ok)[0])
-    rounds = _rounds(n_t, n_r)
     log_exact, log_asy = np.empty(0), []
     if stop:
+        rounds = _rounds(n_t, n_r)
         if scalar[0]:
             gains = np.full(stop, rounds.gain(cols[0].item(0)))
         else:

@@ -339,8 +339,8 @@ class TestOutageCurve:
         with pytest.raises(RuntimeError, match="curve point 0"):
             outage_curve(2, 2, 1, 3.0, ([10.0, 100.0],))
 
-    # rates and SNRs that fail somewhere: rate 68 is a CDF beyond float64
-    # at 16x16, rates from 1024 overflow the threshold, and shape
+    # rates and SNRs that fail somewhere: rate 68 at 10 dB is a CDF beyond
+    # float64 at 16x16, rates from 1024 overflow the threshold, and shape
     # (173, 1) refuses every x > 0. Valid values are drawn 8 times as
     # often as the others, so that a fair share of curves raise nothing.
     RATES = st.sampled_from([0.0, 0.5, 1.0, 3.0, 6.0, 68.0] * 8
