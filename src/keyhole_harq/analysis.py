@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedConfigError
 from .keyhole import SystemConfig, check_count
-from .specfun import _each, _log_cdf_many, meijer_g_log_cdf
+from .specfun import _each, _log_cdf_many, _or, meijer_g_log_cdf
 
 __all__ = [
     "OutageProbability",
@@ -92,7 +92,7 @@ def _log_log_each(snr):
     elsewhere, where a square array's asymptote is blank."""
     out = np.full(snr.shape, math.nan)
     up = np.flatnonzero(snr > 1.0)
-    out[up] = _each(math.log, _each(math.log, snr[up]))
+    out[up] = _each(_log_log, snr[up])
     return out
 
 
@@ -214,12 +214,8 @@ class _Rounds:
         # overflowed threshold, inf or nan; below exp(709) nothing overflows.
         asy = log_asy.tolist()
         for i in np.flatnonzero(~(log_asy <= 709.0)).tolist():
-            try:
-                if not math.isnan(math.exp(asy[i])):
-                    continue
-            except OverflowError:
-                pass
-            asy[i] = None
+            if math.isnan(_or(math.exp, asy[i])):
+                asy[i] = None
         return log_exact, asy
 
 
@@ -262,7 +258,7 @@ def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
     for c in cols[1:]:
         ok &= np.isfinite(c) & (c > 0.0)
     if len(col) != k_rounds:
-        ok[:] = False  # check_snrs fails at every point
+        ok[:] = False  # SystemConfig's SNR count check fails at every point
     stop = n if ok.all() else int(np.flatnonzero(~ok)[0])
     log_exact, log_asy = np.empty(0), []
     if stop:

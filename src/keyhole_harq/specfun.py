@@ -6,8 +6,9 @@ The public functions are plain float64 arithmetic on the standard library's
 * ``bessel_k_scaled``: exponentially scaled modified Bessel function of the
   second kind for integer orders, relative error <= 1e-12 for x in
   [1e-8, 30] and orders up to 16. Orders 0 and 1 come from an ascending
-  series (x <= 2) or Chebyshev fits of sqrt(x) e^x K_nu(x) (x > 2); higher
-  orders use the upward recurrence, which is stable for this function.
+  series (x <= 2) or Chebyshev fits of sqrt(x) e^x K_nu(x) (x > 2), both
+  fits in one Clenshaw walk; higher orders use the upward recurrence, which
+  is stable for this function.
   ``bessel_k_scaled`` and the survival series share one walk of the
   orders, so a survival CDF evaluates K_0 and K_1 once, at r = 2 sqrt(x),
   and walks the recurrence once up to order n_t.
@@ -24,23 +25,21 @@ The public functions are plain float64 arithmetic on the standard library's
   only the x-dependent arithmetic, in the same grouping as before.
 
 A whole curve evaluates through the private array forms (``_log_cdf_many``
-and the ``*_many`` helpers it calls): the branch choice, both series and the
-Chebyshev K_0/K_1 fits over a float64 array of x. Each value is bitwise the
-one-point value, and nan where the one-point call raises: the array forms
-decide no error, and ``outage_curve`` replays such a point. Small-argument
-K_0/K_1 (r <= 2) runs point by point through the one-point series
-(``_k01_scaled``): few survival points reach it (1.2% of the points of a
-typical sweep, about 30 per call), and an array term loop has a fixed cost
-of about 0.2 ms, more than the scalar series at that size.
+and the ``*_many`` helpers it calls): the branch choice and both series over
+a float64 array of x. Each value is bitwise the one-point value, and nan
+where the one-point call raises: the array forms decide no error, and
+``outage_curve`` replays such a point. Every K_0/K_1 comes from
+``_k01_scaled``, one point per call; the survival series maps it over its
+arguments r = 2 sqrt(x) and walks the higher orders of all points at once
+with the same ``_upward`` recurrence, which takes floats or arrays.
 Only IEEE-exact operations run in numpy (``+ - * /``, ``sqrt``, ``abs``,
 comparisons, ``maximum``), elementwise and in the one-point code's
 left-to-right grouping; every exp, log, log1p and ``**`` goes through
 ``math`` one element at a time (``_each``), because numpy's vectorised ones
 may differ in the last bit. No series sum uses a numpy reduction: a term
 loop adds one term per step to every live point, under a mask, and a point
-stops being live at the very term where the one-point loop stops.
-``_clenshaw`` and the upward recurrence are written once and take floats or
-arrays. A one-element array call costs far more than a one-point call, so
+stops being live at the very term where the one-point loop stops. A
+one-element array call costs far more than a one-point call, so
 ``meijer_g_log_cdf`` stays scalar.
 
 The density is not integrated here: the tests check the CDF against an
@@ -118,19 +117,9 @@ _K1E_CHEB = (
     1.8380935752430455e-16, -5.689462849193648e-17, 1.7940510478863572e-17,
     -5.7567444820733025e-18, 1.8778651901623268e-18,
 )
-# Both fits as one column pair per term: one Clenshaw walk over a
-# (2, n) array gives e^x K_0 and e^x K_1 at n arguments.
-_K01E_CHEB = tuple(np.array([[a], [b]]) for a, b in zip(_K0E_CHEB, _K1E_CHEB))
-
-
-def _clenshaw(coefs: tuple, s):
-    """Chebyshev sum at s, a float or an array."""
-    s2 = 2.0 * s  # 2.0 * s * b1 groups as (2.0 * s) * b1: same bits
-    b1 = 0.0
-    b2 = 0.0
-    for a in coefs[:0:-1]:
-        b1, b2 = s2 * b1 - b2 + a, b1
-    return s * b1 - b2 + coefs[0]
+# Both fits as coefficient pairs, highest term first, for one Clenshaw walk
+# that gives e^x K_0 and e^x K_1 together.
+_K01E_PAIRS = tuple(zip(_K0E_CHEB[:0:-1], _K1E_CHEB[:0:-1]))
 
 
 def _k01_scaled(x: float) -> tuple:
@@ -139,7 +128,13 @@ def _k01_scaled(x: float) -> tuple:
     if x > 2.0:
         rs = 1.0 / math.sqrt(x)
         s = 4.0 / x - 1.0
-        return _clenshaw(_K0E_CHEB, s) * rs, _clenshaw(_K1E_CHEB, s) * rs
+        s2 = 2.0 * s  # 2.0 * s * b1 groups as (2.0 * s) * b1: same bits
+        b1 = b2 = c1 = c2 = 0.0
+        for a, c in _K01E_PAIRS:
+            b1, b2 = s2 * b1 - b2 + a, b1
+            c1, c2 = s2 * c1 - c2 + c, c1
+        return ((s * b1 - b2 + _K0E_CHEB[0]) * rs,
+                (s * c1 - c2 + _K1E_CHEB[0]) * rs)
     u = 0.25 * x * x
     lh = math.log(0.5 * x)
     i0 = 1.0          # I_0(x)
@@ -190,27 +185,6 @@ def _k_scaled_upward(x: float):
     K_0 and K_1 are evaluated once; ``_upward`` walks the higher orders.
     """
     return _upward(*_k01_scaled(x), x)
-
-
-def _k_scaled_upward_many(x):
-    """``_k_scaled_upward`` at each element of the array x.
-
-    Arguments up to 2 take ``_k01_scaled`` one point at a time (see the
-    module docstring); the Chebyshev fits above walk all points at once.
-    """
-    k0 = np.empty_like(x)
-    k1 = np.empty_like(x)
-    small = x <= 2.0
-    xs = x[small]
-    if xs.size:
-        k0[small], k1[small] = zip(*map(_k01_scaled, xs.tolist()))
-    large = ~small
-    xl = x[large]
-    if xl.size:
-        rs = 1.0 / np.sqrt(xl)
-        s = 4.0 / xl - 1.0
-        k0[large], k1[large] = _clenshaw(_K01E_CHEB, s) * rs
-    return _upward(k0, k1, x)
 
 
 def bessel_k_scaled(order, x: float) -> float:
@@ -344,7 +318,8 @@ def _survival_many(n_t: int, n_r: int, x, logx):
     """``_survival`` at each element of the array x; nan where it raises."""
     tab = _shape_table(n_t, n_r)
     r = 2.0 * np.sqrt(x)
-    ks = list(itertools.islice(_k_scaled_upward_many(r), n_t + 1))
+    k0, k1 = map(np.array, zip(*map(_k01_scaled, r.tolist())))
+    ks = list(itertools.islice(_upward(k0, k1, r), n_t + 1))
     half, lg_fact = np.array(tab.surv).T[:, :, None]
     # every exp of the series in one pass: the n_r terms, then the prefactor
     e = _each(math.exp, np.vstack([half * logx - lg_fact, -r - tab.lg_t]))

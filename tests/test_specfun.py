@@ -102,6 +102,38 @@ class TestBesselK:
         ks = list(itertools.islice(specfun._k_scaled_upward(x), 17))
         assert ks == [bessel_k_scaled(n, x) for n in range(17)]
 
+    # float.hex of e^x K_0(x) and e^x K_1(x) from the Chebyshev fits, as
+    # the two fits gave them walked one at a time; walking them together
+    # must keep every bit
+    K01_FITS_HEX = [
+        (2.0000000000000004, '0x1.aee207722a037p-1', '0x1.0891f04b554d5p+0'),
+        (2.000001, '0x1.aee20101ae9d6p-1', '0x1.0891ead83353dp+0'),
+        (2.1, '0x1.a5628114574ffp-1', '0x1.009b315513741p+0'),
+        (2.5, '0x1.84e390e15b8e4p-1', '0x1.cce3a97ec28c6p-1'),
+        (3.0, '0x1.65410218018eap-1', '0x1.9cf5e3729a27fp-1'),
+        (3.7, '0x1.43b215e065fb6p-1', '0x1.6d0f3027afc78p-1'),
+        (4.0, '0x1.37f5dd35f91a9p-1', '0x1.5cf785b4a0203p-1'),
+        (5.5, '0x1.0bf1381e69450p-1', '0x1.235a418fb6482p-1'),
+        (7.0, '0x1.dd067f32e2cbcp-2', '0x1.fe06799868bbfp-2'),
+        (10.0, '0x1.9107f639e5cb1p-2', '0x1.a49ffdebfef6bp-2'),
+        (13.25, '0x1.5d6161c1f84ebp-2', '0x1.6a55291d0b297p-2'),
+        (20.0, '0x1.1d3ade3ed803ap-2', '0x1.244694db38499p-2'),
+        (30.0, '0x1.d2b63e8021608p-3', '0x1.da6d7aed48f5cp-3'),
+        (47.9, '0x1.71e9e62a6ce0dp-3', '0x1.75c1570f1d6dbp-3'),
+        (64.0, '0x1.403a289da43f7p-3', '0x1.42b8263fc88f9p-3'),
+        (100.0, '0x1.005c138a42646p-3', '0x1.01a367892f886p-3'),
+        (176.5, '0x1.8222efcdf881fp-4', '0x1.833a92c3ec0e2p-4'),
+        (250.0, '0x1.4483884564229p-4', '0x1.45298493f8a66p-4'),
+        (448.0, '0x1.e4f1297779f1dp-5', '0x1.e57ba3c37222dp-5'),
+        (512.75, '0x1.c54e48f9b891ap-5', '0x1.c5bf6403b954cp-5'),
+        (699.9, '0x1.84052e475ebd0p-5', '0x1.844c1e2d0ac55p-5'),
+        (700.0, '0x1.83fe167bcbdafp-5', '0x1.8445027da8a84p-5'),
+    ]
+
+    @pytest.mark.parametrize("x,k0,k1", K01_FITS_HEX)
+    def test_chebyshev_fits_bits(self, x, k0, k1):
+        assert [v.hex() for v in specfun._k01_scaled(x)] == [k0, k1]
+
     @settings(max_examples=200, deadline=None)
     @given(
         order=st.integers(min_value=0, max_value=10),
@@ -290,17 +322,26 @@ class TestGainCdf:
 
     def test_survival_cdf_evaluates_k0_k1_once(self, monkeypatch):
         calls = []
-        original = specfun._clenshaw
+        original = specfun._k01_scaled
 
-        def counted(coefs, s):
-            calls.append(coefs)
-            return original(coefs, s)
+        def counted(r):
+            calls.append(r)
+            return original(r)
 
-        monkeypatch.setattr(specfun, "_clenshaw", counted)
+        monkeypatch.setattr(specfun, "_k01_scaled", counted)
         # x = 112 is on the survival branch; r = 2 sqrt(x) > 2 uses the fits
         assert not specfun._use_ascending(16, 9, 112.0)
         meijer_g_log_cdf(16, 9, 112.0)
-        assert calls == [specfun._K0E_CHEB, specfun._K1E_CHEB]
+        assert calls == [2.0 * math.sqrt(112.0)]
+        # a curve evaluates them once per survival point, on both sides of
+        # r = 2, and never at an ascending point
+        calls.clear()
+        xs = [1e-5, 0.5, 3.0, 112.0]
+        surv = [x for x in xs if not specfun._use_ascending(2, 2, x)]
+        assert surv == [0.5, 3.0, 112.0]
+        x = np.array(xs)
+        specfun._log_cdf_many(2, 2, x, _log_many(x))
+        assert calls == [2.0 * math.sqrt(v) for v in surv]
 
     def test_switchover_continuity(self):
         # the survival/ascending handover must not leave a jump
@@ -480,10 +521,17 @@ class TestArrayLogCdf:
         np.array([2.0]),
     ], ids=["mixed", "one", "all-small", "all-large", "two"])
     def test_bessel_orders_match_one_point_walk(self, xs):
-        # K_0..K_16 from the array walk against the scalar walk, on both
-        # sides of the x = 2 switch of the K_0/K_1 evaluation, and with
-        # either side empty
-        got = list(itertools.islice(specfun._k_scaled_upward_many(xs), 17))
-        for i, x in enumerate(xs.tolist()):
-            want = list(itertools.islice(specfun._k_scaled_upward(x), 17))
-            assert [float(k[i]) for k in got] == want, x
+        # the survival series at r = 2 sqrt(x) = xs reads K_1..K_16 from the
+        # array walk: bitwise the one-point series, on both sides of the
+        # r = 2 switch of the K_0/K_1 evaluation, and with either side empty
+        x = (xs / 2.0) ** 2
+        for n_r in (1, 9, 16):
+            with np.errstate(all="ignore"):
+                got = specfun._survival_many(16, n_r, x, _log_many(x))
+            for v, g in zip(x.tolist(), got.tolist()):
+                try:
+                    want = specfun._survival(16, n_r, v)
+                except (OverflowError, ValueError):
+                    want = math.nan
+                assert struct.pack("<d", g) == struct.pack("<d", want), \
+                    (n_r, v, g, want)

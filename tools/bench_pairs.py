@@ -12,10 +12,12 @@ from pair to pair, so a drift of the machine's speed hits both sides alike.
 
 After each ``perfbench/run.py`` run, ``perfbench/crosscheck.py`` runs once
 from the same checkout, for its per-call timings of the layers (the kernel,
-the gain CDF, ``exact_outage`` and the one-lane simulator).
+the gain CDF, ``exact_outage`` and the one-lane simulator), and this
+checkout's ``tools/curve_timing.py`` runs once against that side's root,
+for the curve layer (``outage_curve`` at 1 to 281 points).
 
 The output JSON records, for each workload, seed and end-to-end metric of
-``BENCHMARK.json``, and under ``layers`` for each crosscheck row: every
+``BENCHMARK.json``, and under ``layers`` for each of those rows: every
 run's value on both sides, their medians and interquartile ranges
 (inclusive quartiles), each pair's ratio, the median ratio, and how many
 pairs each side won. A ratio above 1 means the change is better:
@@ -67,23 +69,26 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def crosscheck_once(root: Path) -> dict:
-    """One ``perfbench/crosscheck.py`` run from the checkout at ``root``, as
-    ``run_once``'s metrics: {row: {"value": ..., "unit": ...}}."""
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "crosscheck.py")],
-        cwd=root, capture_output=True, text=True, check=True)
+def layers_once(root: Path) -> dict:
+    """One ``perfbench/crosscheck.py`` run from the checkout at ``root`` and
+    one ``tools/curve_timing.py --root root`` run, as ``run_once``'s
+    metrics: {row: {"value": ..., "unit": ...}}."""
     rows = {}
-    for line in proc.stdout.splitlines():
-        m = _ROW.match(line)
-        if m:
-            rows[m["name"].strip()] = {"value": float(m["value"]),
-                                       "unit": m["unit"]}
+    for cmd in ([str(root / "perfbench" / "crosscheck.py")],
+                [str(ROOT / "tools" / "curve_timing.py"), "--root",
+                 str(root)]):
+        proc = subprocess.run([sys.executable, *cmd], cwd=root,
+                              capture_output=True, text=True, check=True)
+        for line in proc.stdout.splitlines():
+            m = _ROW.match(line)
+            if m:
+                rows[m["name"].strip()] = {"value": float(m["value"]),
+                                           "unit": m["unit"]}
     return {"metrics": rows}
 
 
 def layer_metrics(run: dict) -> list:
-    """``summarize``'s metric list for the rows of a crosscheck run."""
+    """``summarize``'s metric list for the rows of a ``layers_once`` run."""
     return [{"name": name, "unit": row["unit"],
              "better": "higher" if row["unit"] == "M trials/s" else "lower"}
             for name, row in run["metrics"].items()]
@@ -142,7 +147,7 @@ def main(argv=None) -> int:
                    "dirty": bool(_git("status", "--porcelain",
                                       "--untracked-files=no").strip())},
         "command": f"perfbench/run.py --seconds {args.seconds:g}, then "
-                   "perfbench/crosscheck.py",
+                   "perfbench/crosscheck.py and tools/curve_timing.py",
         "pairs": args.pairs,
         "python": platform.python_version(),
         "ratio": "above 1 means the change is better (change/parent where "
@@ -159,7 +164,7 @@ def main(argv=None) -> int:
                 for side in order:
                     runs[side].append(run_once(roots[side], workload, seed,
                                                args.seconds))
-                    layers[side].append(crosscheck_once(roots[side]))
+                    layers[side].append(layers_once(roots[side]))
                     print(f"{workload} seed {seed} pair {pair} {side}: "
                           f"{runs[side][-1]['metrics']}", flush=True)
             result = summarize(runs, spec["end_to_end"])
