@@ -6,8 +6,9 @@ Imports the package from the checkout at ``--root`` and times
 ``outage_curve`` on a K=3 SNR sweep at rate 3, its n points evenly spaced
 over 0-70 dB and shared by the three rounds (as ``sweep-snr`` evaluates
 them), for n = 1, 8, 23 and 281 at the shapes 2x2, 8x5 and 16x16. Each row
-is the median of 7 repeats, printed in ``perfbench/crosscheck.py``'s row
-format, so ``tools/bench_pairs.py`` records it with the crosscheck rows.
+is the median of 7 repeats of 50 calls, printed in
+``perfbench/crosscheck.py``'s row format, so ``tools/bench_pairs.py``
+records it with the crosscheck rows.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ SHAPES = ((2, 2), (8, 5), (16, 16))
 POINTS = (1, 8, 23, 281)
 K_ROUNDS = 3
 RATE = 3.0
+NUMBER = 50  # calls per repeat
+REPEAT = 7
 
 
 def import_analysis(root: Path):
@@ -35,7 +38,7 @@ def import_analysis(root: Path):
     return analysis
 
 
-def rows(analysis, number: int = 50, repeat: int = 7) -> list:
+def rows(analysis) -> list:
     """(name, median us per call) for every shape and curve length."""
     out = []
     for n_t, n_r in SHAPES:
@@ -47,9 +50,9 @@ def rows(analysis, number: int = 50, repeat: int = 7) -> list:
                 analysis.outage_curve(n_t, n_r, K_ROUNDS, RATE, snrs)
 
             call()  # fill the shape tables before timing
-            times = timeit.repeat(call, number=number, repeat=repeat)
+            times = timeit.repeat(call, number=NUMBER, repeat=REPEAT)
             out.append((f"outage_curve {n_t}x{n_r} K={K_ROUNDS} {n} points",
-                        1e6 * statistics.median(times) / number))
+                        1e6 * statistics.median(times) / NUMBER))
     return out
 
 
