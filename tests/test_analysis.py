@@ -221,6 +221,36 @@ class TestOutageCurve:
             _curve(n_t, n_r, k, points)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_empty_curve(self, k):
+        # no points, nothing to raise: also where the SNR count would fail
+        # SystemConfig at every point
+        assert outage_curve(2, 2, k, 3.0, ([],)) == ([], [])
+        assert outage_curve(2, 2, k, [], (10.0,)) == ([], [])
+        assert outage_curve(2, 2, k, [], ()) == ([], [])
+
+    def test_no_snr_column(self):
+        with pytest.raises(ValueError, match=r"^snr_per_round has 0 entries "
+                                             r"for 1 rounds$"):
+            outage_curve(2, 2, 1, 3.0, ())
+
+    def test_invalid_rate_between_valid_points(self):
+        with pytest.raises(ValueError, match=r"^rate must be finite and >= 0, "
+                                             r"got -1\.0$"):
+            outage_curve(2, 2, 1, [3.0, -1.0, 3.0], (10.0,))
+
+    @pytest.mark.parametrize("bad", [(-1.0, (10.0,)), (3.0, (0.0,))])
+    def test_invalid_input_wins_over_later_cdf_error(self, bad):
+        # at 16x16, rate 68 and 10 dB the gain CDF is beyond float64; the
+        # invalid input one point earlier raises first
+        points = [(3.0, (10.0,)), bad, (68.0, (10.0,))]
+        with pytest.raises(DomainError):
+            _curve(16, 16, 1, points[2:])
+        with pytest.raises(ValueError) as got:
+            _curve(16, 16, 1, points)
+        assert type(got.value) is ValueError
+        _assert_same_error(16, 16, 1, points)
+
     def test_asymptote_keeps_one_point_grouping(self):
         # the pre-curve per-point expressions, evaluated in full at each
         # point: hoisting the shape constants must not move a bit
