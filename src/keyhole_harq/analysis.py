@@ -14,7 +14,11 @@ All probabilities are carried as natural logs; K rounds of ~1e-8 factors are
 routine operating points and would underflow a linear carrier. Rounds with
 the same per-round SNR (as in the paper's curves) share one per-round
 evaluation, and the logs are still added in round order, so the sum is
-bitwise the round-by-round one.
+bitwise the round-by-round one. One helper, ``_per_round``, makes that sum
+for the exact product, for the asymptote and for each curve's columns. The
+threshold and the asymptote's leading term are plain functions of the shape,
+written once over floats or arrays; no per-shape object or cache holds
+their constants.
 
 ``outage_curve`` evaluates a whole curve (one shape and K, many rates or
 SNRs) eagerly, as float64 columns: it takes ``SystemConfig``'s arguments,
@@ -25,14 +29,15 @@ one object, or as equal floats, share one column of thresholds; each
 distinct column goes through the array CDF of ``specfun`` once, and the
 columns add in round order. The ln t of each threshold is taken once and
 feeds both the CDF and the asymptote; ln ln snr is taken only where a
-square array's asymptote is not blank. The threshold and asymptote
-expressions are written once and take floats or arrays, with every exp and
-log through ``math``, so a curve point is bitwise the ``exact_outage`` /
-``asymptotic_outage`` value. The curve path only computes: where the
-one-point path would raise, its exact log is nan. The first point with such
-a nan or an invalid input is replayed through ``SystemConfig`` and the
-one-point evaluation, which raises the error the one-point calls in axis
-order would raise first, and within that point its first failing round's.
+square array's asymptote is not blank. Every exp and log goes through
+``math``, so a curve point is bitwise the ``exact_outage`` /
+``asymptotic_outage`` value. The curve path only computes, and it computes
+every point: an invalid input gets a nan threshold prefix, so its exact log
+is nan, as is the exact log of a point where the one-point path would raise.
+The first point with a nan exact log is replayed through ``SystemConfig``
+and the one-point evaluation, which raises the error the one-point calls in
+axis order would raise first, and within that point its first failing
+round's.
 """
 
 from __future__ import annotations
@@ -71,16 +76,13 @@ class OutageProbability:
 
     @classmethod
     def from_log(cls, log_value: float) -> "OutageProbability":
-        return cls(log_value=log_value, value=_exp(log_value))
-
-
-def _exp(log_value: float) -> float:
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise DomainError(
-            f"probability exp({log_value!r}) overflows float64"
-        ) from None
+        try:
+            value = math.exp(log_value)
+        except OverflowError:
+            raise DomainError(
+                f"probability exp({log_value!r}) overflows float64"
+            ) from None
+        return cls(log_value=log_value, value=value)
 
 
 def _log_log(snr: float) -> float:
@@ -96,127 +98,84 @@ def _log_log_each(snr):
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _rounds(n_t: int, n_r: int) -> "_Rounds":
-    return _Rounds(n_t, n_r)
+def _gain(n_t: int, rate: float) -> float:
+    """The threshold prefix n_t (2^R - 1); inf past float64."""
+    try:
+        return n_t * (2.0 ** rate - 1.0)
+    except OverflowError:
+        return math.inf
 
 
-class _Rounds:
-    """Per-round outage logs for one checked shape; holds no other state,
-    so ``_rounds`` keeps one per shape.
+def _threshold(n_t: int, rate: float, snr: float) -> float:
+    t = _gain(n_t, rate) / snr
+    if not math.isfinite(t):
+        raise DomainError(
+            f"outage threshold n_t (2^R - 1) / snr overflows float64 at "
+            f"n_t {n_t}, rate {rate!r}, snr {snr!r}"
+        )
+    return t
 
-    Holds what the points of a curve share: the shape constants of the
-    asymptote. The threshold and asymptote expressions are written once and
-    take floats or arrays alike; every one keeps the left-to-right grouping
-    of its one-point form, so a curve point is bitwise the one-point value.
+
+def _term(n_t: int, n_r: int, log_t, snr, log_log=_log_log):
+    """Log of one round's leading high-SNR term from ln t: floats, or
+    arrays with ``log_log`` the array form of ``_log_log``. The grouping is
+    the one-point form's, so a curve point is bitwise the one-point value."""
+    tau = abs(n_t - n_r)
+    if tau == 0:
+        return (n_t * log_t + log_log(snr) - math.log(n_t)
+                - 2.0 * math.lgamma(n_t))
+    m = min(n_t, n_r)
+    return (math.lgamma(tau) - math.lgamma(n_t) - math.lgamma(n_r)
+            + m * log_t - math.log(m))
+
+
+def _per_round(snrs, log_term):
+    """The sum of log_term(s) over the rounds' keys s, in round order, with
+    one log_term call per distinct key; floats or float64 arrays."""
+    memo = {}
+    log_p = 0.0
+    for s in snrs:
+        v = memo.get(s)
+        if v is None:
+            v = memo[s] = log_term(s)
+        log_p += v
+    return log_p
+
+
+def _curve(n_t: int, n_r: int, gains, snrs: list, col: list) -> tuple:
+    """``exact_outage`` and ``asymptotic_outage`` logs at every point of a
+    curve at once.
+
+    Point i has the ``_gain`` gains[i] of its rate, nan at an invalid
+    input, and in round j the SNR snrs[col[j]][i]: snrs holds the distinct
+    round columns, float64 arrays like gains. Returns the float64 array of
+    exact logs, nan exactly where the one-point path raises, and the list
+    of asymptotic logs, None where ``asymptotic_outage`` raises or its exp
+    overflows at a point with an exact log.
     """
-
-    __slots__ = ("n_t", "n_r", "tau", "m", "lead", "log_m", "log_n", "lg2")
-
-    def __init__(self, n_t: int, n_r: int):
-        self.n_t = n_t
-        self.n_r = n_r
-        self.tau = tau = abs(n_t - n_r)
-        self.m = m = min(n_t, n_r)
-        if tau:
-            self.lead = math.lgamma(tau) - math.lgamma(n_t) - math.lgamma(n_r)
-            self.log_m = math.log(m)
-        else:
-            self.log_n = math.log(n_t)
-            self.lg2 = 2.0 * math.lgamma(n_t)
-
-    def gain(self, rate: float) -> float:
-        """The threshold prefix n_t (2^R - 1); inf past float64."""
-        try:
-            return self.n_t * (2.0 ** rate - 1.0)
-        except OverflowError:
-            return math.inf
-
-    def threshold(self, rate: float, snr: float) -> float:
-        t = self.gain(rate) / snr
-        if not math.isfinite(t):
-            raise DomainError(
-                f"outage threshold n_t (2^R - 1) / snr overflows float64 at "
-                f"n_t {self.n_t}, rate {rate!r}, snr {snr!r}"
-            )
-        return t
-
-    def term(self, log_t, snr, log_log=_log_log):
-        """Log of one round's leading high-SNR term from ln t: floats, or
-        arrays with ``log_log`` the array form of ``_log_log``."""
-        if self.tau == 0:
-            return self.n_t * log_t + log_log(snr) - self.log_n - self.lg2
-        return self.lead + self.m * log_t - self.log_m
-
-    def exact(self, rate: float, snrs: tuple) -> float:
-        log_cdf = {}
-        log_p = 0.0
-        for snr in snrs:
-            v = log_cdf.get(snr)
-            if v is None:
-                v = log_cdf[snr] = meijer_g_log_cdf(
-                    self.n_t, self.n_r, self.threshold(rate, snr))
-            log_p += v
-        return log_p
-
-    def asymptotic(self, rate: float, snrs: tuple) -> float:
-        if self.tau == 0:
-            for g in snrs:
-                if g <= 1.0:
-                    raise DomainError(
-                        "asymptotic outage for n_t == n_r needs every "
-                        f"per-round SNR > 1 (0 dB); got {g}"
-                    )
-        if rate == 0.0:
-            return -math.inf
-        terms = {}
-        log_p = 0.0
-        for snr in snrs:
-            v = terms.get(snr)
-            if v is None:
-                # a threshold that underflowed to 0 gives -inf, as rate 0
-                t = self.threshold(rate, snr)
-                v = terms[snr] = (self.term(math.log(t), snr) if t
-                                  else -math.inf)
-            log_p += v
-        return log_p
-
-    def curve(self, gains, snrs: list, col: list) -> tuple:
-        """``exact`` and ``asymptotic`` at every point of a curve at once.
-
-        Point i has the ``gain`` gains[i] of a checked rate, and in round j
-        the checked SNR snrs[col[j]][i]: snrs holds the distinct round
-        columns, float64 arrays like gains. Returns the float64 array of
-        exact logs, nan exactly where ``exact`` raises, and the list of
-        asymptotic logs, None where ``asymptotic`` raises or its exp
-        overflows at a point with an exact log.
-        """
-        with np.errstate(all="ignore"):
-            # thresholds: one row per distinct round column
-            t = np.vstack([gains / s for s in snrs])
-            # ln t; -inf at 0 (rate 0, or an underflowed threshold)
-            log_t = np.full(t.shape, -math.inf)
-            pos = t > 0.0
-            log_t[pos] = _each(math.log, t[pos])
-            finite = np.isfinite(t)
-            log_cdf = np.full(t.shape, math.nan)
-            log_cdf[finite] = _log_cdf_many(self.n_t, self.n_r, t[finite],
-                                            log_t[finite])
-            terms = [self.term(log_t[d], s, _log_log_each)
-                     for d, s in enumerate(snrs)]
-            log_exact = log_asy = 0.0
-            for d in col:
-                log_exact = log_exact + log_cdf[d]
-                log_asy = log_asy + terms[d]
-        # at rate 0 every threshold is 0, so log_asy is -inf as in
-        # ``asymptotic``. It is nan where a square array's SNR is <= 1 (no
-        # ln ln snr was taken), and, at a point that raises for its
-        # overflowed threshold, inf or nan; below exp(709) nothing overflows.
-        asy = log_asy.tolist()
-        for i in np.flatnonzero(~(log_asy <= 709.0)).tolist():
-            if math.isnan(_or(math.exp, asy[i])):
-                asy[i] = None
-        return log_exact, asy
+    with np.errstate(all="ignore"):
+        # thresholds: one row per distinct round column
+        t = np.vstack([gains / s for s in snrs])
+        # ln t; -inf at 0 (rate 0, or an underflowed threshold)
+        log_t = np.full(t.shape, -math.inf)
+        pos = t > 0.0
+        log_t[pos] = _each(math.log, t[pos])
+        finite = np.isfinite(t)
+        log_cdf = np.full(t.shape, math.nan)
+        log_cdf[finite] = _log_cdf_many(n_t, n_r, t[finite], log_t[finite])
+        # 0.0 + the first row is a new array, so no row is written
+        log_exact = _per_round(col, log_cdf.__getitem__)
+        log_asy = _per_round(col, lambda d: _term(
+            n_t, n_r, log_t[d], snrs[d], _log_log_each))
+    # at rate 0 every threshold is 0, so log_asy is -inf as in
+    # ``asymptotic_outage``. It is nan where a square array's SNR is <= 1
+    # (no ln ln snr was taken), and, at a point that raises for its
+    # overflowed threshold, inf or nan; below exp(709) nothing overflows.
+    asy = log_asy.tolist()
+    for i in np.flatnonzero(~(log_asy <= 709.0)).tolist():
+        if math.isnan(_or(math.exp, asy[i])):
+            asy[i] = None
+    return log_exact, asy
 
 
 def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
@@ -253,26 +212,23 @@ def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
             "rate and each per-round SNR must be a float or a sequence of "
             f"one common length; got shapes {sorted(shapes)}")
     (n,) = shapes.pop() if shapes else (1,)
+    if scalar[0]:
+        gains = np.full(n, _gain(n_t, cols[0].item()))
+    else:
+        gains = np.fromiter(map(functools.partial(_gain, n_t),
+                                cols[0].tolist()), float, n)
     cols = [np.full(n, c) if one else c for c, one in zip(cols, scalar)]
     ok = np.isfinite(cols[0]) & (cols[0] >= 0.0)
     for c in cols[1:]:
         ok &= np.isfinite(c) & (c > 0.0)
-    if len(col) != k_rounds:
-        ok[:] = False  # SystemConfig's SNR count check fails at every point
-    stop = n if ok.all() else int(np.flatnonzero(~ok)[0])
-    log_exact, log_asy = np.empty(0), []
-    if stop:
-        rounds = _rounds(n_t, n_r)
-        if scalar[0]:
-            gains = np.full(stop, rounds.gain(cols[0].item(0)))
-        else:
-            gains = np.fromiter(map(rounds.gain, cols[0][:stop].tolist()),
-                                float, stop)
-        log_exact, log_asy = rounds.curve(
-            gains, [c[:stop] for c in cols[1:]], col)
+    gains[~ok] = math.nan
+    if len(col) == k_rounds:
+        log_exact, log_asy = _curve(n_t, n_r, gains, cols[1:], col)
+    else:  # SystemConfig's SNR count check fails at every point
+        log_exact, log_asy = np.full(n, math.nan), []
     failed = np.flatnonzero(np.isnan(log_exact))
-    first = int(failed[0]) if failed.size else stop
-    if first < n:  # the one-point path raises the first failing point's error
+    if failed.size:  # the one-point path raises the first failing point's
+        first = int(failed[0])
         v = exact_outage(SystemConfig(
             n_t, n_r, k_rounds, rate if scalar[0] else rate[first],
             [s if scalar[1 + d] else s[first]
@@ -288,8 +244,8 @@ def outage_threshold(config: SystemConfig, round_index: int) -> float:
         raise ValueError(
             f"round_index must be in 1..{config.k_rounds}, got {round_index}"
         )
-    return _rounds(config.n_t, config.n_r).threshold(
-        config.rate, config.snr_per_round[round_index - 1])
+    return _threshold(config.n_t, config.rate,
+                      config.snr_per_round[round_index - 1])
 
 
 def exact_outage(config: SystemConfig) -> OutageProbability:
@@ -299,9 +255,10 @@ def exact_outage(config: SystemConfig) -> OutageProbability:
     round order. Rounds sharing an SNR share one CDF evaluation.
     rate = 0 gives zero thresholds and outage probability 0.
     """
-    rounds = _rounds(config.n_t, config.n_r)
-    return OutageProbability.from_log(
-        rounds.exact(config.rate, config.snr_per_round))
+    n_t, n_r, rate = config.n_t, config.n_r, config.rate
+    return OutageProbability.from_log(_per_round(
+        config.snr_per_round,
+        lambda snr: meijer_g_log_cdf(n_t, n_r, _threshold(n_t, rate, snr))))
 
 
 def asymptotic_outage(config: SystemConfig) -> OutageProbability:
@@ -315,9 +272,22 @@ def asymptotic_outage(config: SystemConfig) -> OutageProbability:
     The tau = 0 branch needs ln(snr_k) > 0, so every per-round SNR must
     exceed one (0 dB); below that the leading term is meaningless.
     """
-    rounds = _rounds(config.n_t, config.n_r)
+    n_t, n_r, rate = config.n_t, config.n_r, config.rate
+    if n_t == n_r:
+        for g in config.snr_per_round:
+            if g <= 1.0:
+                raise DomainError(
+                    "asymptotic outage for n_t == n_r needs every "
+                    f"per-round SNR > 1 (0 dB); got {g}"
+                )
+
+    def log_term(snr: float) -> float:
+        # rate 0, or a threshold that underflowed, gives t = 0 and -inf
+        t = _threshold(n_t, rate, snr)
+        return _term(n_t, n_r, math.log(t), snr) if t else -math.inf
+
     return OutageProbability.from_log(
-        rounds.asymptotic(config.rate, config.snr_per_round))
+        _per_round(config.snr_per_round, log_term))
 
 
 def diversity_order(config: SystemConfig) -> int:

@@ -240,6 +240,8 @@ def _sweep(args, axis_name: str, axis: list, rate, snrs: tuple,
            axis_meta: dict) -> int:
     """A curve over ``axis`` (see ``_curve_columns``); ``axis_meta`` holds
     the mirror's axis flags in the order they are written."""
+    if args.trials < 0:
+        raise ValueError(f"trials must be >= 0, got {args.trials}")
     curve = CurveResult(axis_name=axis_name,
                         columns=_curve_columns(args, axis, rate, snrs))
     meta = {

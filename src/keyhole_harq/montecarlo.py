@@ -173,6 +173,13 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _check_trials(trials) -> int:
+    trials = operator.index(trials)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 def simulate_outage(
     config: SystemConfig, trials: int, seed: int = 0, lanes: int = 1
 ) -> SimulationResult:
@@ -184,9 +191,7 @@ def simulate_outage(
     trials and at the usable cores. Each thread counts one contiguous range
     of the trials.
     """
-    trials = operator.index(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _check_trials(trials)
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -253,6 +258,7 @@ def empirical_diversity_slope(
             if not math.isfinite(v):
                 raise ValueError("exact outage is 0 or 1 on the grid; cannot fit")
     else:
+        trials = _check_trials(trials)
         p_top = exact_outage(configs[-1]).value
         expected = trials * p_top
         if expected < _MIN_FAILURES:

@@ -179,14 +179,6 @@ def _upward(k0, k1, x):
         nu += 1
 
 
-def _k_scaled_upward(x: float):
-    """Yield e^x K_0(x), e^x K_1(x), e^x K_2(x), ... for x > 0.
-
-    K_0 and K_1 are evaluated once; ``_upward`` walks the higher orders.
-    """
-    return _upward(*_k01_scaled(x), x)
-
-
 def bessel_k_scaled(order, x: float) -> float:
     """e^x K_order(x) for integer order >= 0 and x > 0.
 
@@ -202,7 +194,7 @@ def bessel_k_scaled(order, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"argument must be finite and > 0, got {x}")
-    return next(itertools.islice(_k_scaled_upward(x), order, None))
+    return next(itertools.islice(_upward(*_k01_scaled(x), x), order, None))
 
 
 def _validate_shapes(n_t, n_r) -> tuple:
@@ -307,7 +299,7 @@ def _survival(n_t: int, n_r: int, x: float) -> float:
     tab = _shape_table(n_t, n_r)
     r = 2.0 * math.sqrt(x)
     logx = math.log(x)
-    ks = list(itertools.islice(_k_scaled_upward(r), n_t + 1))
+    ks = list(itertools.islice(_upward(*_k01_scaled(r), r), n_t + 1))
     acc = 0.0
     for m, (half, lg_fact) in enumerate(tab.surv):
         acc += math.exp(half * logx - lg_fact) * ks[n_t - m]

@@ -306,6 +306,23 @@ class TestRunFlags:
         assert (simulated["trials"], simulated["seed"],
                 simulated["lanes"]) == (1000, 4, 2)
 
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-rate"])
+    def test_negative_trials_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "curve.csv"
+        assert main([command, "--trials", "-5", "--json",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: trials must be >= 0, got -5\n")
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
+    def test_diversity_simulation_needs_a_trial(self, capsys):
+        # the simulator's own check, not a feasibility estimate from a
+        # negative trial count
+        assert main(["diversity", "--method", "simulation",
+                     "--trials", "-5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: trials must be >= 1, got -5\n")
+
 
 class TestOutputPath:
     # --out in a directory that does not exist is a usage error: exit 2,

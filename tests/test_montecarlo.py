@@ -270,6 +270,16 @@ class TestEmpiricalDiversitySlope:
         ).value
         assert need == math.ceil(100.0 / p_top)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_simulation_rejects_trials_below_one(self, trials):
+        # simulate_outage's check comes before the feasibility estimate
+        config = SystemConfig.equal_snr(2, 3, 2, 3.0, 1.0)
+        with pytest.raises(ValueError) as got:
+            empirical_diversity_slope(config, [50.0, 55.0, 60.0],
+                                      method="simulation", trials=trials)
+        assert type(got.value) is ValueError
+        assert str(got.value) == f"trials must be >= 1, got {trials}"
+
     def test_grid_validation(self):
         config = SystemConfig.equal_snr(2, 2, 1, 1.0, 1.0)
         with pytest.raises(ValueError):

@@ -99,7 +99,8 @@ class TestBesselK:
                                    2.5, 7.0, 30.0, 448.0])
     def test_one_recurrence_serves_every_order(self, x):
         # the survival series reads all its orders from one upward walk
-        ks = list(itertools.islice(specfun._k_scaled_upward(x), 17))
+        ks = list(itertools.islice(
+            specfun._upward(*specfun._k01_scaled(x), x), 17))
         assert ks == [bessel_k_scaled(n, x) for n in range(17)]
 
     # float.hex of e^x K_0(x) and e^x K_1(x) from the Chebyshev fits, as

@@ -5,16 +5,17 @@
 Imports the package from the checkout at ``--root`` and times
 ``outage_curve`` on a K=3 SNR sweep at rate 3, its n points evenly spaced
 over 0-70 dB and shared by the three rounds (as ``sweep-snr`` evaluates
-them), for n = 1, 8, 23 and 281 at the shapes 2x2, 8x5 and 16x16. Each row
-is the median of 7 repeats of 50 calls, printed in
-``perfbench/crosscheck.py``'s row format, so ``tools/bench_pairs.py``
-records it with the crosscheck rows.
+them), for n = 1, 8, 23 and 281 at the shapes 2x2, 8x5 and 16x16. The 7
+repeats of 50 calls go round-robin over the 12 cases, and each row is the
+minimum of its case's repeats, printed in ``perfbench/crosscheck.py``'s row
+format, so ``tools/bench_pairs.py`` records it with the crosscheck rows.
 """
 
 from __future__ import annotations
 
 import argparse
-import statistics
+import functools
+import math
 import sys
 import timeit
 from pathlib import Path
@@ -39,21 +40,23 @@ def import_analysis(root: Path):
 
 
 def rows(analysis) -> list:
-    """(name, median us per call) for every shape and curve length."""
-    out = []
+    """(name, min us per call) for every shape and curve length."""
+    calls = {}
     for n_t, n_r in SHAPES:
         for n in POINTS:
             snr = [10.0 ** (7.0 * i / max(n - 1, 1)) for i in range(n)]
-            snrs = (snr,) * K_ROUNDS
-
-            def call():
-                analysis.outage_curve(n_t, n_r, K_ROUNDS, RATE, snrs)
-
-            call()  # fill the shape tables before timing
-            times = timeit.repeat(call, number=NUMBER, repeat=REPEAT)
-            out.append((f"outage_curve {n_t}x{n_r} K={K_ROUNDS} {n} points",
-                        1e6 * statistics.median(times) / NUMBER))
-    return out
+            name = f"outage_curve {n_t}x{n_r} K={K_ROUNDS} {n} points"
+            calls[name] = functools.partial(
+                analysis.outage_curve, n_t, n_r, K_ROUNDS, RATE,
+                (snr,) * K_ROUNDS)
+    for call in calls.values():
+        call()  # fill the shape tables before timing
+    best = dict.fromkeys(calls, math.inf)
+    # round-robin, so a slow spell of the machine hits every case alike
+    for _ in range(REPEAT):
+        for name, call in calls.items():
+            best[name] = min(best[name], timeit.timeit(call, number=NUMBER))
+    return [(name, 1e6 * t / NUMBER) for name, t in best.items()]
 
 
 def main(argv=None) -> int:
