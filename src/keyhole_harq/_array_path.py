@@ -1,0 +1,280 @@
+"""The array path of the closed form: a whole curve as float64 columns.
+
+This is the only closed-form module that imports numpy. ``outage_curve``
+imports it only for a curve of at least ``analysis._ARRAY_THRESHOLDS``
+distinct thresholds (points x distinct SNR columns), below which the
+one-point evaluation is faster; so a process that evaluates only short
+curves never loads numpy.
+
+``curve`` checks the columns with one array test each and computes the
+threshold prefix n_t (2^R - 1) once per rate. Each distinct round column
+goes through the array CDF ``_log_cdf_many`` once, and the columns add in
+round order through ``analysis._per_round``. The ln t of each threshold is
+taken once and feeds both the CDF and the asymptote; ln ln snr is taken
+only where a square array's asymptote is not blank.
+
+Each value is bitwise the one-point value. Only IEEE-exact operations run in
+numpy (``+ - * /``, ``sqrt``, ``abs``, comparisons, ``maximum``),
+elementwise and in the one-point code's left-to-right grouping; every exp,
+log, log1p and ``**`` goes through ``math`` one element at a time
+(``_each``), because numpy's vectorised ones may differ in the last bit. No
+series sum uses a numpy reduction: a term loop adds one term per step to
+every live point, under a mask, and a point stops being live at the very
+term where the one-point loop stops. Every K_0/K_1 comes from
+``specfun._k01_scaled``, mapped over the survival points, and the higher
+orders of all points come from the same ``specfun._upward`` recurrence.
+
+The array path only computes, and it computes every point: an invalid input
+gets a nan threshold prefix, so its exact log is nan, as is the exact log
+of a point where the one-point path would raise. The first point with a nan
+exact log is replayed through ``SystemConfig`` and ``exact_outage``, which
+raises the error the one-point calls in axis order would raise first, and
+within that point its first failing round's.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+
+import numpy as np
+
+from .analysis import _gain, _log_log, _per_round, _term, exact_outage
+from .keyhole import SystemConfig
+from .specfun import (
+    _ASCENDING_F,
+    _ASCENDING_X,
+    _k01_scaled,
+    _shape_table,
+    _upward,
+)
+
+
+def _each(fn, a):
+    """fn, a ``math`` function of one float, at each element of the float64
+    array a, one element at a time.
+
+    numpy's own exp, log, log1p and power may differ from ``math`` in the
+    last bit, so the array path takes every transcendental from here. An
+    element where fn raises gets nan.
+    """
+    vals = a.ravel().tolist()
+    try:
+        out = np.fromiter(map(fn, vals), float, len(vals))
+    except (OverflowError, ValueError):
+        out = np.array([_or(fn, v) for v in vals], dtype=float)
+    return out.reshape(a.shape)
+
+
+def _or(fn, v: float) -> float:
+    try:
+        return fn(v)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _survival_many(n_t: int, n_r: int, x, logx):
+    """``specfun._survival`` at each element of the array x; nan where it
+    raises."""
+    tab = _shape_table(n_t, n_r)
+    r = 2.0 * np.sqrt(x)
+    k0, k1 = map(np.array, zip(*map(_k01_scaled, r.tolist())))
+    ks = list(itertools.islice(_upward(k0, k1, r), n_t + 1))
+    half, lg_fact = np.array(tab.surv).T[:, :, None]
+    # every exp of the series in one pass: the n_r terms, then the prefactor
+    e = _each(math.exp, np.vstack([half * logx - lg_fact, -r - tab.lg_t]))
+    acc = 0.0
+    for m in range(n_r):
+        acc = acc + e[m] * ks[n_t - m]
+    return 2.0 * e[n_r] * acc
+
+
+def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
+    """``specfun._cdf_ascending`` at each element of the array x; nan where
+    it raises.
+
+    A term is added only to the live points, and a point stops being live
+    at the term where the scalar loop breaks, so its sum has exactly the
+    scalar's terms.
+    """
+    tab = _shape_table(n_t, n_r)
+    g = np.zeros_like(x)
+    fk = np.ones_like(x)
+    negx = -x
+    for h in tab.head:
+        g = g + h * fk
+        fk = fk * negx
+    # (-1)^tau: adding -term is subtracting term, bit for bit
+    add = np.add if tab.sgn > 0.0 else np.subtract
+    # x ** 0 is 1.0 for every float, so square shapes take no pow
+    xt = (_each(functools.partial(pow, exp=n_t - n_r), x) if n_t > n_r
+          else np.ones_like(x))
+    live = np.ones(x.shape, dtype=bool)
+    for k, (fact, bk, c) in enumerate(zip(tab.fact, tab.big_k, tab.psi)):
+        term = xt * fact / bk * (c - logx)
+        add(g, term, out=g, where=live)
+        if k >= 2:
+            live &= ~(np.abs(term) < 1e-17 * np.abs(g))
+            if not live.any():
+                break
+        xt = xt * x
+    return n_r * logx + _each(math.log, g) - tab.lg_t - tab.lg_r
+
+
+def _use_ascending_many(n_t: int, n_r: int, x, logx):
+    """``specfun._use_ascending`` at each element of the array x, with
+    logx = ln x.
+
+    As in the scalar, the leading term is formed only at x >= _ASCENDING_X.
+    A leading term whose exp overflows is nan here, and nan < _ASCENDING_F
+    is False, as the scalar's overflow branch returns.
+    """
+    asc = x < _ASCENDING_X
+    far = np.flatnonzero(~asc)
+    if not far.size:
+        return asc
+    tab = _shape_table(n_t, n_r)
+    m = n_r
+    lgg = tab.lg_t + tab.lg_r
+    lx = logx[far]
+    if n_t > n_r:
+        lead = _each(math.exp, tab.lg_tau + m * lx - lgg) / m
+    else:
+        lead = _each(math.exp, m * lx - lgg) * np.maximum(-lx, 1.0) / m
+    asc[far] = lead < _ASCENDING_F
+    return asc
+
+
+def _log_cdf_many(n_t: int, n_r: int, x, logx):
+    """``meijer_g_log_cdf`` at each element of the 1-D float64 array x.
+
+    The shapes are checked integers >= 1, every x is finite and >= 0, and
+    logx holds math.log of each x > 0, so the caller that also needs ln x
+    takes it once. Each value is bitwise the one-point value; it is nan
+    exactly where ``meijer_g_log_cdf`` raises ``DomainError``. Only
+    IEEE-exact arithmetic runs in numpy, in the scalar code's grouping;
+    every exp and log goes through ``math`` (``_each``).
+    """
+    big, small = (n_r, n_t) if n_r > n_t else (n_t, n_r)
+    out = np.full(x.shape, -math.inf)
+    pos = np.flatnonzero(x > 0.0)
+    try:
+        _shape_table(big, small)
+    except OverflowError:  # exp(lgamma(tau)) overflows: no series applies
+        out[pos] = math.nan
+        return out
+    with np.errstate(all="ignore"):
+        xp = x[pos]
+        logx = logx[pos]
+        asc = _use_ascending_many(big, small, xp, logx)
+        surv = np.flatnonzero(~asc)
+        if surv.size:
+            s = _survival_many(big, small, xp[surv], logx[surv])
+            # roundoff can push S marginally past 1 when F is at the
+            # switch edge
+            fallback = s >= 1.0
+            asc[surv[fallback]] = True
+            keep = ~fallback
+            out[pos[surv[keep]]] = _each(math.log1p, -s[keep])
+        sel = np.flatnonzero(asc)
+        if sel.size:
+            out[pos[sel]] = _cdf_ascending_many(big, small, xp[sel],
+                                                logx[sel])
+    return out
+
+
+def _log_log_each(snr):
+    """``analysis._log_log`` at each element of the array snr where
+    snr > 1; nan elsewhere, where a square array's asymptote is blank."""
+    out = np.full(snr.shape, math.nan)
+    up = np.flatnonzero(snr > 1.0)
+    out[up] = _each(_log_log, snr[up])
+    return out
+
+
+def _curve(n_t: int, n_r: int, gains, snrs: list, col: list) -> tuple:
+    """``exact_outage`` and ``asymptotic_outage`` logs at every point of a
+    curve at once.
+
+    Point i has the ``_gain`` gains[i] of its rate, nan at an invalid
+    input, and in round j the SNR snrs[col[j]][i]: snrs holds the distinct
+    round columns, float64 arrays like gains. Returns the float64 array of
+    exact logs, nan exactly where the one-point path raises, and the list
+    of asymptotic logs, None where ``asymptotic_outage`` raises or its exp
+    overflows at a point with an exact log.
+    """
+    with np.errstate(all="ignore"):
+        # thresholds: one row per distinct round column
+        t = np.vstack([gains / s for s in snrs])
+        # ln t; -inf at 0 (rate 0, or an underflowed threshold)
+        log_t = np.full(t.shape, -math.inf)
+        pos = t > 0.0
+        log_t[pos] = _each(math.log, t[pos])
+        finite = np.isfinite(t)
+        log_cdf = np.full(t.shape, math.nan)
+        log_cdf[finite] = _log_cdf_many(n_t, n_r, t[finite], log_t[finite])
+        # 0.0 + the first row is a new array, so no row is written
+        log_exact = _per_round(col, log_cdf.__getitem__)
+        log_asy = _per_round(col, lambda d: _term(
+            n_t, n_r, log_t[d], snrs[d], _log_log_each))
+    # at rate 0 every threshold is 0, so log_asy is -inf as in
+    # ``asymptotic_outage``. It is nan where a square array's SNR is <= 1
+    # (no ln ln snr was taken), and, at a point that raises for its
+    # overflowed threshold, inf or nan; below exp(709) nothing overflows.
+    asy = log_asy.tolist()
+    for i in np.flatnonzero(~(log_asy <= 709.0)).tolist():
+        try:
+            blank = math.isnan(math.exp(asy[i]))
+        except OverflowError:
+            blank = True
+        if blank:
+            asy[i] = None
+    return log_exact, asy
+
+
+def curve(n_t: int, n_r: int, k_rounds: int, rate, snr_per_round) -> tuple:
+    """``outage_curve`` on the array path, after its count checks.
+
+    Rounds given as the same object, or as equal floats, share one column.
+    """
+    index = {}
+    distinct, col = [], []
+    for s in snr_per_round:
+        d = index.setdefault(s if isinstance(s, float) else (id(s),),
+                             len(distinct))
+        if d == len(distinct):
+            distinct.append(s)
+        col.append(d)
+    cols = [np.array(c, dtype=float) for c in (rate, *distinct)]
+    scalar = [not c.shape for c in cols]
+    shapes = {c.shape for c in cols} - {()}
+    if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+        raise ValueError(
+            "rate and each per-round SNR must be a float or a sequence of "
+            f"one common length; got shapes {sorted(shapes)}")
+    (n,) = shapes.pop() if shapes else (1,)
+    if scalar[0]:
+        gains = np.full(n, _gain(n_t, cols[0].item()))
+    else:
+        gains = np.fromiter(map(functools.partial(_gain, n_t),
+                                cols[0].tolist()), float, n)
+    cols = [np.full(n, c) if one else c for c, one in zip(cols, scalar)]
+    ok = np.isfinite(cols[0]) & (cols[0] >= 0.0)
+    for c in cols[1:]:
+        ok &= np.isfinite(c) & (c > 0.0)
+    gains[~ok] = math.nan
+    if len(col) == k_rounds:
+        log_exact, log_asy = _curve(n_t, n_r, gains, cols[1:], col)
+    else:  # SystemConfig's SNR count check fails at every point
+        log_exact, log_asy = np.full(n, math.nan), []
+    failed = np.flatnonzero(np.isnan(log_exact))
+    if failed.size:  # the one-point path raises the first failing point's
+        first = int(failed[0])
+        v = exact_outage(SystemConfig(
+            n_t, n_r, k_rounds, rate if scalar[0] else rate[first],
+            [s if scalar[1 + d] else s[first]
+             for s, d in zip(snr_per_round, col)]))
+        raise RuntimeError(f"curve point {first} is nan in the array path "
+                           f"only; its one-point log is {v.log_value!r}")
+    return log_exact.tolist(), log_asy

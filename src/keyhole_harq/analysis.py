@@ -21,36 +21,29 @@ written once over floats or arrays; no per-shape object or cache holds
 their constants.
 
 ``outage_curve`` evaluates a whole curve (one shape and K, many rates or
-SNRs) eagerly, as float64 columns: it takes ``SystemConfig``'s arguments,
-with the rate and each round's SNR a float or a sequence of n values. It
-checks the shape and K once and each column with one array test, and
-computes the threshold prefix n_t (2^R - 1) once per rate. Rounds given as
-one object, or as equal floats, share one column of thresholds; each
-distinct column goes through the array CDF of ``specfun`` once, and the
-columns add in round order. The ln t of each threshold is taken once and
-feeds both the CDF and the asymptote; ln ln snr is taken only where a
-square array's asymptote is not blank. Every exp and log goes through
-``math``, so a curve point is bitwise the ``exact_outage`` /
-``asymptotic_outage`` value. The curve path only computes, and it computes
-every point: an invalid input gets a nan threshold prefix, so its exact log
-is nan, as is the exact log of a point where the one-point path would raise.
-The first point with a nan exact log is replayed through ``SystemConfig``
-and the one-point evaluation, which raises the error the one-point calls in
-axis order would raise first, and within that point its first failing
-round's.
+SNRs): it takes ``SystemConfig``'s arguments, with the rate and each round's
+SNR a float or a sequence of n values, and checks the shape and K once.
+Rounds given as one object, or as equal floats, share one column of
+thresholds. A curve of fewer than ``_ARRAY_THRESHOLDS`` distinct thresholds
+(points x distinct SNR columns, counted from the columns' lengths alone)
+calls ``exact_outage`` and ``asymptotic_outage`` point by point, which is
+faster there than any array set-up. A longer curve takes the array path in
+``_array_path``, which evaluates it as float64 columns, each point bitwise
+the one-point value, and replays its first failing point through the
+one-point evaluation. So either way a curve raises the error the one-point
+calls in axis order would raise first, and within that point its first
+failing round's. This module imports no numpy; ``_array_path``, and with it
+numpy, loads on the first curve that takes the array path.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, UnsupportedConfigError
 from .keyhole import SystemConfig, check_count
-from .specfun import _each, _log_cdf_many, _or, meijer_g_log_cdf
+from .specfun import meijer_g_log_cdf
 
 __all__ = [
     "OutageProbability",
@@ -87,15 +80,6 @@ class OutageProbability:
 
 def _log_log(snr: float) -> float:
     return math.log(math.log(snr))
-
-
-def _log_log_each(snr):
-    """``_log_log`` at each element of the array snr where snr > 1; nan
-    elsewhere, where a square array's asymptote is blank."""
-    out = np.full(snr.shape, math.nan)
-    up = np.flatnonzero(snr > 1.0)
-    out[up] = _each(_log_log, snr[up])
-    return out
 
 
 def _gain(n_t: int, rate: float) -> float:
@@ -142,40 +126,40 @@ def _per_round(snrs, log_term):
     return log_p
 
 
-def _curve(n_t: int, n_r: int, gains, snrs: list, col: list) -> tuple:
-    """``exact_outage`` and ``asymptotic_outage`` logs at every point of a
-    curve at once.
+# A curve with fewer distinct thresholds than this (points x distinct SNR
+# columns) is evaluated point by point: below it the array path's fixed
+# cost exceeds the one-point calls (tools/curve_timing.py).
+_ARRAY_THRESHOLDS = 64
 
-    Point i has the ``_gain`` gains[i] of its rate, nan at an invalid
-    input, and in round j the SNR snrs[col[j]][i]: snrs holds the distinct
-    round columns, float64 arrays like gains. Returns the float64 array of
-    exact logs, nan exactly where the one-point path raises, and the list
-    of asymptotic logs, None where ``asymptotic_outage`` raises or its exp
-    overflows at a point with an exact log.
+
+def _short_points(columns: tuple):
+    """The point count n of a curve that the one-point path evaluates.
+
+    ``columns`` are the rate and each round's SNRs. That is a curve whose
+    columns are each a float or a list or tuple of n plain floats, with n
+    times its distinct SNR columns below ``_ARRAY_THRESHOLDS``; None for
+    every other curve, whose columns the array path checks.
     """
-    with np.errstate(all="ignore"):
-        # thresholds: one row per distinct round column
-        t = np.vstack([gains / s for s in snrs])
-        # ln t; -inf at 0 (rate 0, or an underflowed threshold)
-        log_t = np.full(t.shape, -math.inf)
-        pos = t > 0.0
-        log_t[pos] = _each(math.log, t[pos])
-        finite = np.isfinite(t)
-        log_cdf = np.full(t.shape, math.nan)
-        log_cdf[finite] = _log_cdf_many(n_t, n_r, t[finite], log_t[finite])
-        # 0.0 + the first row is a new array, so no row is written
-        log_exact = _per_round(col, log_cdf.__getitem__)
-        log_asy = _per_round(col, lambda d: _term(
-            n_t, n_r, log_t[d], snrs[d], _log_log_each))
-    # at rate 0 every threshold is 0, so log_asy is -inf as in
-    # ``asymptotic_outage``. It is nan where a square array's SNR is <= 1
-    # (no ln ln snr was taken), and, at a point that raises for its
-    # overflowed threshold, inf or nan; below exp(709) nothing overflows.
-    asy = log_asy.tolist()
-    for i in np.flatnonzero(~(log_asy <= 709.0)).tolist():
-        if math.isnan(_or(math.exp, asy[i])):
-            asy[i] = None
-    return log_exact, asy
+    n = None
+    for c in columns:
+        if not isinstance(c, float):
+            if not isinstance(c, (list, tuple)) or n not in (None, len(c)):
+                return None
+            n = len(c)
+    if n is None:
+        n = 1
+    # the rounds, len(columns) - 1, bound the distinct columns
+    if n * (len(columns) - 1) >= _ARRAY_THRESHOLDS and n * len(
+            {s if isinstance(s, float) else (id(s),)
+             for s in columns[1:]}) >= _ARRAY_THRESHOLDS:
+        return None
+    last = None  # rounds that share a column pass it in a row
+    for c in columns:
+        if c is not last and not isinstance(c, float):
+            if not {float}.issuperset(map(type, c)):
+                return None
+            last = c
+    return n
 
 
 def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
@@ -188,54 +172,34 @@ def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
     two lists, ``log_exact`` and ``log_asymptotic``: at each point the
     ``log_value`` fields of ``exact_outage`` and ``asymptotic_outage``,
     bitwise; ``log_asymptotic`` is None where ``asymptotic_outage`` raises
-    ``DomainError``. The shape and K are checked once and each column with
-    one array test. The first point with an invalid input or a nan exact
-    log is replayed through ``SystemConfig`` and the one-point evaluation,
-    so a curve raises what the one-point calls in axis order raise first.
+    ``DomainError``. The shape and K are checked once. A curve of fewer
+    than ``_ARRAY_THRESHOLDS`` distinct thresholds calls the one-point
+    functions at each point in axis order; a longer one takes the array
+    path (``_array_path.curve``). Either way a curve raises what the
+    one-point calls in axis order raise first.
     """
     n_t = check_count("n_t", n_t)
     n_r = check_count("n_r", n_r)
     k_rounds = check_count("k_rounds", k_rounds)
-    index = {}
-    distinct, col = [], []
-    for s in snr_per_round:
-        d = index.setdefault(s if isinstance(s, float) else (id(s),),
-                             len(distinct))
-        if d == len(distinct):
-            distinct.append(s)
-        col.append(d)
-    cols = [np.array(c, dtype=float) for c in (rate, *distinct)]
-    scalar = [not c.shape for c in cols]
-    shapes = {c.shape for c in cols} - {()}
-    if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
-        raise ValueError(
-            "rate and each per-round SNR must be a float or a sequence of "
-            f"one common length; got shapes {sorted(shapes)}")
-    (n,) = shapes.pop() if shapes else (1,)
-    if scalar[0]:
-        gains = np.full(n, _gain(n_t, cols[0].item()))
-    else:
-        gains = np.fromiter(map(functools.partial(_gain, n_t),
-                                cols[0].tolist()), float, n)
-    cols = [np.full(n, c) if one else c for c, one in zip(cols, scalar)]
-    ok = np.isfinite(cols[0]) & (cols[0] >= 0.0)
-    for c in cols[1:]:
-        ok &= np.isfinite(c) & (c > 0.0)
-    gains[~ok] = math.nan
-    if len(col) == k_rounds:
-        log_exact, log_asy = _curve(n_t, n_r, gains, cols[1:], col)
-    else:  # SystemConfig's SNR count check fails at every point
-        log_exact, log_asy = np.full(n, math.nan), []
-    failed = np.flatnonzero(np.isnan(log_exact))
-    if failed.size:  # the one-point path raises the first failing point's
-        first = int(failed[0])
-        v = exact_outage(SystemConfig(
-            n_t, n_r, k_rounds, rate if scalar[0] else rate[first],
-            [s if scalar[1 + d] else s[first]
-             for s, d in zip(snr_per_round, col)]))
-        raise RuntimeError(f"curve point {first} is nan in the array path "
-                           f"only; its one-point log is {v.log_value!r}")
-    return log_exact.tolist(), log_asy
+    columns = (rate, *snr_per_round)
+    n = _short_points(columns)
+    if n is None:
+        from ._array_path import curve
+
+        return curve(n_t, n_r, k_rounds, rate, columns[1:])
+    log_exact, log_asy = [], []
+    for r, *snrs in zip(*[[c] * n if isinstance(c, float) else c
+                          for c in columns]):
+        config = SystemConfig(n_t, n_r, k_rounds, r, snrs)
+        log_exact.append(_log_exact(config))
+        try:
+            v = _log_asymptotic(config)
+            # only above 709 can asymptotic_outage's exp overflow and raise
+            log_asy.append(v if v <= 709.0
+                           else asymptotic_outage(config).log_value)
+        except DomainError:
+            log_asy.append(None)
+    return log_exact, log_asy
 
 
 def outage_threshold(config: SystemConfig, round_index: int) -> float:
@@ -255,10 +219,16 @@ def exact_outage(config: SystemConfig) -> OutageProbability:
     round order. Rounds sharing an SNR share one CDF evaluation.
     rate = 0 gives zero thresholds and outage probability 0.
     """
+    return OutageProbability.from_log(_log_exact(config))
+
+
+def _log_exact(config: SystemConfig) -> float:
+    """The ``log_value`` of ``exact_outage``: a sum of log CDFs, whose exp
+    cannot overflow."""
     n_t, n_r, rate = config.n_t, config.n_r, config.rate
-    return OutageProbability.from_log(_per_round(
+    return _per_round(
         config.snr_per_round,
-        lambda snr: meijer_g_log_cdf(n_t, n_r, _threshold(n_t, rate, snr))))
+        lambda snr: meijer_g_log_cdf(n_t, n_r, _threshold(n_t, rate, snr)))
 
 
 def asymptotic_outage(config: SystemConfig) -> OutageProbability:
@@ -272,6 +242,11 @@ def asymptotic_outage(config: SystemConfig) -> OutageProbability:
     The tau = 0 branch needs ln(snr_k) > 0, so every per-round SNR must
     exceed one (0 dB); below that the leading term is meaningless.
     """
+    return OutageProbability.from_log(_log_asymptotic(config))
+
+
+def _log_asymptotic(config: SystemConfig) -> float:
+    """The log that ``asymptotic_outage`` takes the exp of."""
     n_t, n_r, rate = config.n_t, config.n_r, config.rate
     if n_t == n_r:
         for g in config.snr_per_round:
@@ -286,8 +261,7 @@ def asymptotic_outage(config: SystemConfig) -> OutageProbability:
         t = _threshold(n_t, rate, snr)
         return _term(n_t, n_r, math.log(t), snr) if t else -math.inf
 
-    return OutageProbability.from_log(
-        _per_round(config.snr_per_round, log_term))
+    return _per_round(config.snr_per_round, log_term)
 
 
 def diversity_order(config: SystemConfig) -> int:

@@ -16,10 +16,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SystemConfig",
@@ -105,6 +107,8 @@ def sample_channel(n_t: int, n_r: int, rng: np.random.Generator) -> ChannelDraw:
     N(0, 1/2). All 2(n_r + n_t) variates come from a single generator call,
     u parts first, so the stream layout is stable.
     """
+    import numpy as np
+
     z = rng.standard_normal(2 * (n_r + n_t)) * math.sqrt(0.5)
     u = z[:n_r] + 1j * z[n_r:2 * n_r]
     v = z[2 * n_r:2 * n_r + n_t] + 1j * z[2 * n_r + n_t:]

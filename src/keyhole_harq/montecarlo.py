@@ -23,8 +23,9 @@ matrix with the grouping numpy's ``add.reduce`` gives a row of that length
 exponentials. The batch size only sets the working set, sized to stay in a
 core's cache; it cannot change a gain or a count.
 
-``numpy.random`` is reached as ``np.random``, which numpy imports on first
-use, so a process that never simulates never imports it.
+numpy is imported inside the functions that draw and count, so a process
+that never simulates never imports numpy; the closed-form modules load it
+only for a curve long enough to take the array path.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .analysis import exact_outage, outage_threshold
+from .analysis import exact_outage, outage_curve, outage_threshold
 from .errors import SimulationInfeasibleError
 from .keyhole import SystemConfig, db_to_linear
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SimulationResult",
@@ -90,6 +92,8 @@ def sample_round_gains(
     columns of this matrix are the natural common-random-number stream for
     comparing different round budgets.
     """
+    import numpy as np
+
     pad = _padded_draws(n_t, n_r, rounds)
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(first_trial * (pad // 4))
@@ -144,11 +148,13 @@ def _sum(cols: list) -> np.ndarray:
 
 def _count_failures(
     config: SystemConfig,
-    thresholds: np.ndarray,
+    thresholds: tuple,
     first_trial: int,
     count: int,
     seed: int,
 ) -> int:
+    import numpy as np
+
     fails = 0
     done = 0
     while done < count:
@@ -199,8 +205,8 @@ def simulate_outage(
     if lanes < 1:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
     lanes = min(lanes, trials, _usable_cores())
-    thresholds = np.array(
-        [outage_threshold(config, k) for k in range(1, config.k_rounds + 1)]
+    thresholds = tuple(
+        outage_threshold(config, k) for k in range(1, config.k_rounds + 1)
     )
     bounds = [trials * i // lanes for i in range(lanes + 1)]
     with ThreadPoolExecutor(max_workers=lanes) as pool:
@@ -234,11 +240,12 @@ def empirical_diversity_slope(
     """Negated least-squares slope of log10 P versus log10 SNR.
 
     At high SNR this estimates the diversity order. ``method`` selects the
-    per-point probability: "exact" uses the closed form, "simulation" runs
-    ``simulate_outage`` per grid point. Simulation requires at least 100
-    expected failures at the top of the grid (where outage is rarest);
-    otherwise the fit would be driven by counting noise and the call fails
-    with the trial count that would fix it.
+    per-point probability: "exact" evaluates the grid as one
+    ``outage_curve``, "simulation" runs ``simulate_outage`` per grid point.
+    Simulation requires at least 100 expected failures at the top of the
+    grid (where outage is rarest); otherwise the fit would be driven by
+    counting noise and the call fails with the trial count that would fix
+    it.
     """
     grid = [float(db) for db in snr_grid_db]
     if len(grid) < 2:
@@ -253,7 +260,10 @@ def empirical_diversity_slope(
         for db in grid
     ]
     if method == "exact":
-        logs = [exact_outage(c).log_value / math.log(10.0) for c in configs]
+        snrs = [c.snr_per_round[0] for c in configs]
+        log_exact, _ = outage_curve(config.n_t, config.n_r, config.k_rounds,
+                                    config.rate, (snrs,) * config.k_rounds)
+        logs = [v / math.log(10.0) for v in log_exact]
         for v in logs:
             if not math.isfinite(v):
                 raise ValueError("exact outage is 0 or 1 on the grid; cannot fit")
@@ -278,6 +288,15 @@ def empirical_diversity_slope(
                     required_trials=-1,
                 )
             logs.append(math.log10(r.estimate))
-    xs = np.array([db / 10.0 for db in grid])  # log10 of linear SNR
-    slope = np.polyfit(xs, np.array(logs), 1)[0]
-    return float(-slope)
+    xs = [db / 10.0 for db in grid]  # log10 of linear SNR
+    return -_slope(xs, logs)
+
+
+def _slope(xs: list, ys: list) -> float:
+    """Least-squares slope of ys against xs, from the centred sums, each
+    sum correctly rounded (``math.fsum``)."""
+    mx = math.fsum(xs) / len(xs)
+    my = math.fsum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    return (math.fsum(d * (y - my) for d, y in zip(dx, ys))
+            / math.fsum(d * d for d in dx))

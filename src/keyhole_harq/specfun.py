@@ -24,23 +24,15 @@ The public functions are plain float64 arithmetic on the standard library's
   once per shape and kept in a bounded LRU table, so an evaluation at x does
   only the x-dependent arithmetic, in the same grouping as before.
 
-A whole curve evaluates through the private array forms (``_log_cdf_many``
-and the ``*_many`` helpers it calls): the branch choice and both series over
-a float64 array of x. Each value is bitwise the one-point value, and nan
-where the one-point call raises: the array forms decide no error, and
-``outage_curve`` replays such a point. Every K_0/K_1 comes from
-``_k01_scaled``, one point per call; the survival series maps it over its
-arguments r = 2 sqrt(x) and walks the higher orders of all points at once
-with the same ``_upward`` recurrence, which takes floats or arrays.
-Only IEEE-exact operations run in numpy (``+ - * /``, ``sqrt``, ``abs``,
-comparisons, ``maximum``), elementwise and in the one-point code's
-left-to-right grouping; every exp, log, log1p and ``**`` goes through
-``math`` one element at a time (``_each``), because numpy's vectorised ones
-may differ in the last bit. No series sum uses a numpy reduction: a term
-loop adds one term per step to every live point, under a mask, and a point
-stops being live at the very term where the one-point loop stops. A
-one-element array call costs far more than a one-point call, so
-``meijer_g_log_cdf`` stays scalar.
+This module imports no numpy. The array forms that evaluate a long curve
+(``_log_cdf_many`` and the ``*_many`` helpers it calls: the branch choice
+and both series over a float64 array of x) live in ``_array_path``, which
+``outage_curve`` loads only when a curve takes the array path. Each of
+their values is bitwise the one-point value here, and nan where the
+one-point call raises. They map ``_k01_scaled`` over the survival points
+and walk the higher orders of all points at once with the same ``_upward``
+recurrence, which takes floats or arrays. A one-element array call costs
+far more than a one-point call, so ``meijer_g_log_cdf`` stays scalar.
 
 The density is not integrated here: the tests check the CDF against an
 mpmath quadrature of ``gain_pdf``.
@@ -54,8 +46,6 @@ import math
 import operator
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
 
 EULER = 0.5772156649015328606
@@ -66,29 +56,6 @@ __all__ = [
     "meijer_g_cdf",
     "meijer_g_log_cdf",
 ]
-
-
-def _each(fn, a):
-    """fn, a ``math`` function of one float, at each element of the float64
-    array a, one element at a time.
-
-    numpy's own exp, log, log1p and power may differ from ``math`` in the
-    last bit, so the array path takes every transcendental from here. An
-    element where fn raises gets nan.
-    """
-    vals = a.ravel().tolist()
-    try:
-        out = np.fromiter(map(fn, vals), float, len(vals))
-    except (OverflowError, ValueError):
-        out = np.array([_or(fn, v) for v in vals], dtype=float)
-    return out.reshape(a.shape)
-
-
-def _or(fn, v: float) -> float:
-    try:
-        return fn(v)
-    except (OverflowError, ValueError):
-        return math.nan
 
 
 # Chebyshev coefficients of sqrt(x) e^x K_nu(x) in s = 4/x - 1, x in [2, inf).
@@ -306,21 +273,6 @@ def _survival(n_t: int, n_r: int, x: float) -> float:
     return 2.0 * math.exp(-r - tab.lg_t) * acc
 
 
-def _survival_many(n_t: int, n_r: int, x, logx):
-    """``_survival`` at each element of the array x; nan where it raises."""
-    tab = _shape_table(n_t, n_r)
-    r = 2.0 * np.sqrt(x)
-    k0, k1 = map(np.array, zip(*map(_k01_scaled, r.tolist())))
-    ks = list(itertools.islice(_upward(k0, k1, r), n_t + 1))
-    half, lg_fact = np.array(tab.surv).T[:, :, None]
-    # every exp of the series in one pass: the n_r terms, then the prefactor
-    e = _each(math.exp, np.vstack([half * logx - lg_fact, -r - tab.lg_t]))
-    acc = 0.0
-    for m in range(n_r):
-        acc = acc + e[m] * ks[n_t - m]
-    return 2.0 * e[n_r] * acc
-
-
 def _digamma_int(n: int) -> float:
     v = -EULER
     for j in range(1, n):
@@ -360,38 +312,6 @@ def _cdf_ascending(n_t: int, n_r: int, x: float) -> float:
     return n_r * logx + math.log(g) - tab.lg_t - tab.lg_r
 
 
-def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
-    """``_cdf_ascending`` at each element of the array x; nan where it
-    raises.
-
-    A term is added only to the live points, and a point stops being live
-    at the term where the scalar loop breaks, so its sum has exactly the
-    scalar's terms.
-    """
-    tab = _shape_table(n_t, n_r)
-    g = np.zeros_like(x)
-    fk = np.ones_like(x)
-    negx = -x
-    for h in tab.head:
-        g = g + h * fk
-        fk = fk * negx
-    # (-1)^tau: adding -term is subtracting term, bit for bit
-    add = np.add if tab.sgn > 0.0 else np.subtract
-    # x ** 0 is 1.0 for every float, so square shapes take no pow
-    xt = (_each(functools.partial(pow, exp=n_t - n_r), x) if n_t > n_r
-          else np.ones_like(x))
-    live = np.ones(x.shape, dtype=bool)
-    for k, (fact, bk, c) in enumerate(zip(tab.fact, tab.big_k, tab.psi)):
-        term = xt * fact / bk * (c - logx)
-        add(g, term, out=g, where=live)
-        if k >= 2:
-            live &= ~(np.abs(term) < 1e-17 * np.abs(g))
-            if not live.any():
-                break
-        xt = xt * x
-    return n_r * logx + _each(math.log, g) - tab.lg_t - tab.lg_r
-
-
 # Switch away from 1 - S(x) when the result would be dominated by
 # cancellation. The x threshold guards tiny arguments outright; the leading
 # term estimate guards configurations whose CDF is small even at moderate x
@@ -418,67 +338,6 @@ def _use_ascending(n_t: int, n_r: int, x: float) -> bool:
     except OverflowError:
         return False  # a leading term past float range is far above the cut
     return lead < _ASCENDING_F
-
-
-def _use_ascending_many(n_t: int, n_r: int, x, logx):
-    """``_use_ascending`` at each element of the array x, with logx = ln x.
-
-    As in the scalar, the leading term is formed only at x >= _ASCENDING_X.
-    A leading term whose exp overflows is nan here, and nan < _ASCENDING_F
-    is False, as the scalar's overflow branch returns.
-    """
-    asc = x < _ASCENDING_X
-    far = np.flatnonzero(~asc)
-    if not far.size:
-        return asc
-    tab = _shape_table(n_t, n_r)
-    m = n_r
-    lgg = tab.lg_t + tab.lg_r
-    lx = logx[far]
-    if n_t > n_r:
-        lead = _each(math.exp, tab.lg_tau + m * lx - lgg) / m
-    else:
-        lead = _each(math.exp, m * lx - lgg) * np.maximum(-lx, 1.0) / m
-    asc[far] = lead < _ASCENDING_F
-    return asc
-
-
-def _log_cdf_many(n_t: int, n_r: int, x, logx):
-    """``meijer_g_log_cdf`` at each element of the 1-D float64 array x.
-
-    The shapes are checked integers >= 1, every x is finite and >= 0, and
-    logx holds math.log of each x > 0, so the caller that also needs ln x
-    takes it once. Each value is bitwise the one-point value; it is nan
-    exactly where ``meijer_g_log_cdf`` raises ``DomainError``. Only
-    IEEE-exact arithmetic runs in numpy, in the scalar code's grouping;
-    every exp and log goes through ``math`` (``_each``).
-    """
-    big, small = (n_r, n_t) if n_r > n_t else (n_t, n_r)
-    out = np.full(x.shape, -math.inf)
-    pos = np.flatnonzero(x > 0.0)
-    try:
-        _shape_table(big, small)
-    except OverflowError:  # exp(lgamma(tau)) overflows: no series applies
-        out[pos] = math.nan
-        return out
-    with np.errstate(all="ignore"):
-        xp = x[pos]
-        logx = logx[pos]
-        asc = _use_ascending_many(big, small, xp, logx)
-        surv = np.flatnonzero(~asc)
-        if surv.size:
-            s = _survival_many(big, small, xp[surv], logx[surv])
-            # roundoff can push S marginally past 1 when F is at the
-            # switch edge
-            fallback = s >= 1.0
-            asc[surv[fallback]] = True
-            keep = ~fallback
-            out[pos[surv[keep]]] = _each(math.log1p, -s[keep])
-        sel = np.flatnonzero(asc)
-        if sel.size:
-            out[pos[sel]] = _cdf_ascending_many(big, small, xp[sel],
-                                                logx[sel])
-    return out
 
 
 def meijer_g_log_cdf(n_t, n_r, x: float) -> float:

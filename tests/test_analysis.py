@@ -1,6 +1,7 @@
 """Tests for the closed-form outage machinery: thresholds, the exact
 product form, the high-SNR asymptote, diversity order and coding gain."""
 
+import contextlib
 import math
 import struct
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyhole_harq import analysis, specfun
+from keyhole_harq import _array_path, analysis
 from keyhole_harq.analysis import (
     asymptotic_outage,
     coding_gain,
@@ -142,14 +143,48 @@ def _one_point_logs(n_t, n_r, k, rate, snrs):
     return _bits(exact), _bits(asy)
 
 
+@contextlib.contextmanager
+def _dispatch_at(size):
+    """``outage_curve`` with its array-path size set to ``size``."""
+    saved = analysis._ARRAY_THRESHOLDS
+    analysis._ARRAY_THRESHOLDS = size
+    try:
+        yield
+    finally:
+        analysis._ARRAY_THRESHOLDS = saved
+
+
+def _on_both_paths(*args):
+    """``outage_curve(*args)`` as dispatched, checked against the same call
+    with every curve sent to the array path: both return the same bits, or
+    raise errors of one type and message. Returns or raises the first."""
+    results = []
+    for size in (analysis._ARRAY_THRESHOLDS, 0):
+        with _dispatch_at(size):
+            try:
+                results.append(outage_curve(*args))
+            except Exception as exc:  # compared below, then re-raised
+                results.append(exc)
+    got, arrays = results
+    if isinstance(got, Exception):
+        assert type(arrays) is type(got), (arrays, got)
+        assert str(arrays) == str(got)
+        raise got
+    assert not isinstance(arrays, Exception), arrays
+    assert [list(map(_bits, c)) for c in arrays] == \
+        [list(map(_bits, c)) for c in got]
+    return got
+
+
 def _curve(n_t, n_r, k, points):
     """``outage_curve`` over (rate, snr_per_round) points, passed as
-    columns: one rate column and one SNR column per round. Returns the
-    (log_exact, log_asymptotic) pair of each point."""
+    columns: one rate column and one SNR column per round, on both paths
+    (``_on_both_paths``). Returns the (log_exact, log_asymptotic) pair of
+    each point."""
     rates = [rate for rate, _ in points]
     k_given = len(points[0][1])
     rounds = [[snrs[j] for _, snrs in points] for j in range(k_given)]
-    return list(zip(*outage_curve(n_t, n_r, k, rates, rounds)))
+    return list(zip(*_on_both_paths(n_t, n_r, k, rates, rounds)))
 
 
 def _assert_curve_matches_one_point(n_t, n_r, k, points):
@@ -225,19 +260,19 @@ class TestOutageCurve:
     def test_empty_curve(self, k):
         # no points, nothing to raise: also where the SNR count would fail
         # SystemConfig at every point
-        assert outage_curve(2, 2, k, 3.0, ([],)) == ([], [])
-        assert outage_curve(2, 2, k, [], (10.0,)) == ([], [])
-        assert outage_curve(2, 2, k, [], ()) == ([], [])
+        assert _on_both_paths(2, 2, k, 3.0, ([],)) == ([], [])
+        assert _on_both_paths(2, 2, k, [], (10.0,)) == ([], [])
+        assert _on_both_paths(2, 2, k, [], ()) == ([], [])
 
     def test_no_snr_column(self):
         with pytest.raises(ValueError, match=r"^snr_per_round has 0 entries "
                                              r"for 1 rounds$"):
-            outage_curve(2, 2, 1, 3.0, ())
+            _on_both_paths(2, 2, 1, 3.0, ())
 
     def test_invalid_rate_between_valid_points(self):
         with pytest.raises(ValueError, match=r"^rate must be finite and >= 0, "
                                              r"got -1\.0$"):
-            outage_curve(2, 2, 1, [3.0, -1.0, 3.0], (10.0,))
+            _on_both_paths(2, 2, 1, [3.0, -1.0, 3.0], (10.0,))
 
     @pytest.mark.parametrize("bad", [(-1.0, (10.0,)), (3.0, (0.0,))])
     def test_invalid_input_wins_over_later_cdf_error(self, bad):
@@ -319,8 +354,8 @@ class TestOutageCurve:
         # one column object for every round, as sweep-snr passes it, gives
         # the bits of K distinct equal columns and of the one-point calls
         snr = [10.0 ** (db / 10.0) for db in SNR_DB]
-        shared = outage_curve(n_t, n_r, k, 2.5, (snr,) * k)
-        distinct = outage_curve(n_t, n_r, k, 2.5,
+        shared = _on_both_paths(n_t, n_r, k, 2.5, (snr,) * k)
+        distinct = _on_both_paths(n_t, n_r, k, 2.5,
                                 [list(snr) for _ in range(k)])
         want = [_one_point_logs(n_t, n_r, k, 2.5, (g,) * k) for g in snr]
         for got in (shared, distinct):
@@ -331,7 +366,7 @@ class TestOutageCurve:
         # as sweep-rate passes them: a rate column, one float per round
         rates = [0.25 * i for i in range(25)]
         for n_t, n_r in [(2, 2), (4, 1), (3, 5)]:
-            got = outage_curve(n_t, n_r, len(gammas), rates, gammas)
+            got = _on_both_paths(n_t, n_r, len(gammas), rates, gammas)
             want = [_one_point_logs(n_t, n_r, len(gammas), r, gammas)
                     for r in rates]
             assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
@@ -344,7 +379,7 @@ class TestOutageCurve:
 
         snr = [10.0 ** (0.25 * i / 10.0) for i in range(281)]
         want = [_one_point_logs(4, 4, 2, 3.0, (g, g)) for g in snr]
-        monkeypatch.setattr(specfun, "_or", fallback)
+        monkeypatch.setattr(_array_path, "_or", fallback)
         got = outage_curve(4, 4, 2, 3.0, (snr, snr))
         assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
         assert got[1][0] is None
@@ -357,17 +392,19 @@ class TestOutageCurve:
 
         snr = [10.0 ** (0.25 * i / 10.0) for i in range(281)]
         want = [_one_point_logs(3, 2, 2, 0.0, (g, g)) for g in snr]
-        monkeypatch.setattr(specfun, "_or", fallback)
+        monkeypatch.setattr(_array_path, "_or", fallback)
         got = outage_curve(3, 2, 2, 0.0, (snr, snr))
         assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
 
     def test_nan_the_one_point_path_answers_raises(self, monkeypatch):
         # a nan of the array path that the one-point replay does not raise
-        # for is an error, never a returned value
-        monkeypatch.setattr(analysis, "_log_cdf_many",
+        # for is an error, never a returned value; the curve is long enough
+        # to take the array path
+        monkeypatch.setattr(_array_path, "_log_cdf_many",
                             lambda n_t, n_r, x, logx: x * math.nan)
+        snr = [10.0 * (i + 1) for i in range(analysis._ARRAY_THRESHOLDS)]
         with pytest.raises(RuntimeError, match="curve point 0"):
-            outage_curve(2, 2, 1, 3.0, ([10.0, 100.0],))
+            outage_curve(2, 2, 1, 3.0, (snr,))
 
     # rates and SNRs that fail somewhere: rate 68 at 10 dB is a CDF beyond
     # float64 at 16x16, rates from 1024 overflow the threshold, and shape
@@ -400,12 +437,93 @@ class TestOutageCurve:
                     for rate, snrs in points]
         except ValueError as exc:
             with pytest.raises(type(exc)) as got:
-                outage_curve(n_t, n_r, k, rates, rounds)
+                _on_both_paths(n_t, n_r, k, rates, rounds)
             assert type(got.value) is type(exc)
             assert str(got.value) == str(exc)
         else:
-            got = outage_curve(n_t, n_r, k, rates, rounds)
+            got = _on_both_paths(n_t, n_r, k, rates, rounds)
             assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
+
+
+class TestArrayPathDispatch:
+    # outage_curve maps the one-point functions below _ARRAY_THRESHOLDS
+    # distinct thresholds (points x distinct SNR columns) and takes the
+    # array path from there on: the same bits and the same first error on
+    # both sides of the boundary.
+    SIZE = analysis._ARRAY_THRESHOLDS
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The list of array-path calls that ``outage_curve`` makes."""
+        calls = []
+        original = _array_path.curve
+
+        def spied(*args):
+            calls.append(args[:3])
+            return original(*args)
+
+        monkeypatch.setattr(_array_path, "curve", spied)
+        return calls
+
+    @pytest.mark.parametrize("n_t,n_r", [(2, 2), (8, 5), (16, 16)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_bitwise_one_point_at_the_boundary(self, monkeypatch, n_t, n_r,
+                                               offset):
+        # from 0 dB, so a square array's first asymptote is blank
+        n = self.SIZE + offset
+        snr = [10.0 ** (7.0 * i / (n - 1)) for i in range(n)]
+        calls = self._spy(monkeypatch)
+        got = outage_curve(n_t, n_r, 3, 3.0, (snr,) * 3)
+        assert len(calls) == (offset >= 0)
+        want = [_one_point_logs(n_t, n_r, 3, 3.0, (g,) * 3) for g in snr]
+        assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
+
+    @pytest.mark.parametrize("n_t,n_r", [(2, 2), (3, 5)])
+    def test_distinct_columns_count_towards_the_size(self, monkeypatch, n_t,
+                                                     n_r):
+        # fewer points than the size, but K=3 distinct SNR columns take the
+        # thresholds past it
+        n = -(-self.SIZE // 3)
+        assert n < self.SIZE <= 3 * n
+        rounds = [[10.0 ** ((0.5 * i + 3 * j) / 10.0) for i in range(n)]
+                  for j in range(3)]
+        calls = self._spy(monkeypatch)
+        got = outage_curve(n_t, n_r, 3, 2.5, rounds)
+        assert len(calls) == 1
+        want = [_one_point_logs(n_t, n_r, 3, 2.5, tuple(r[i] for r in rounds))
+                for i in range(n)]
+        assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
+        # one column fewer puts the same points below the size
+        calls.clear()
+        got = outage_curve(n_t, n_r, 3, 2.5, (rounds[0], rounds[1],
+                                               rounds[0]))
+        assert len(calls) == (2 * n >= self.SIZE)
+        want = [_one_point_logs(n_t, n_r, 3, 2.5,
+                                (rounds[0][i], rounds[1][i], rounds[0][i]))
+                for i in range(n)]
+        assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
+
+    # at 16x16, rate 68 and 10 dB the gain CDF is beyond float64
+    @pytest.mark.parametrize("third,fifth", [
+        ((68.0, 10.0), (3.0, 0.0)), ((3.0, 0.0), (68.0, 10.0)),
+        ((-1.0, 10.0), (68.0, 10.0)), ((1024.0, 10.0), (-1.0, 10.0)),
+    ])
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_first_failing_point_on_both_sides(self, monkeypatch, third,
+                                               fifth, offset):
+        n = self.SIZE + offset
+        rates, snrs = [3.0] * n, [10.0] * n
+        rates[3], snrs[3] = third
+        rates[5], snrs[5] = fifth
+        with pytest.raises(ValueError) as want:
+            for rate, snr in zip(rates, snrs):
+                exact_outage(SystemConfig(16, 16, 1, rate, (snr,)))
+        calls = self._spy(monkeypatch)
+        with pytest.raises(ValueError) as got:
+            outage_curve(16, 16, 1, rates, (snrs,))
+        assert len(calls) == (offset >= 0)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestAsymptoticOutage:

@@ -433,6 +433,40 @@ class TestSimulate:
                               text=True, env=_src_env())
         assert proc.stdout == "False\n", proc.stderr
 
+    def test_closed_form_start_imports_no_numpy(self, tmp_path):
+        # the package, the CLI and the default closed-form commands run
+        # without numpy, whose import would cost every process ~0.1 s
+        commands = [["sweep-snr"], ["sweep-rate"], ["coding-gain"],
+                    ["diversity", "--method", "exact"]]
+        out = str(tmp_path / "o")
+        code = ("import sys\n"
+                "import keyhole_harq\n"
+                "print('numpy' in sys.modules)\n"
+                "from keyhole_harq.cli import main\n"
+                "print('numpy' in sys.modules)\n"
+                f"for argv in {commands!r}:\n"
+                f"    assert main(argv + ['--out', {out!r}]) == 0\n"
+                "    print('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_src_env())
+        assert proc.stdout == "False\n" * 6, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trials", "1000", "--lanes", "1"],
+        ["sweep-snr", "--snr-db", "0:0.25:70"],
+    ], ids=["simulate", "sweep-snr-281"])
+    def test_simulation_and_long_curves_load_numpy(self, tmp_path, argv):
+        # a 281-point curve takes the array path; numpy is deferred, not gone
+        assert 281 >= analysis._ARRAY_THRESHOLDS
+        code = ("import sys\n"
+                "from keyhole_harq.cli import main\n"
+                f"assert main({argv!r} + ['--out', "
+                f"{str(tmp_path / 'o')!r}]) == 0\n"
+                "print('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_src_env())
+        assert proc.stdout == "True\n", proc.stderr
+
 
 class TestDomainEdges:
     # Points past float64 reach: each either answers with no nan cell or
@@ -589,11 +623,25 @@ class TestBenchmarkTracer:
 
     def test_tracer_counts_one_sweep(self, monkeypatch, tmp_path):
         tracer = self._traced(monkeypatch, [
+            "sweep-snr", "--snr-db", "0:0.25:70",
+            "--out", str(tmp_path / "c.csv")])
+        assert tracer.stats["cli.write_curve_csv"].work == 281
+        # a curve of at least the array-path size (281 thresholds: the K=3
+        # rounds share one column) evaluates its CDFs as arrays, never point
+        # by point
+        assert 281 >= analysis._ARRAY_THRESHOLDS
+        assert "specfun.meijer_g_log_cdf" not in tracer.stats
+
+    def test_tracer_sees_short_sweep_point_by_point(self, monkeypatch,
+                                                    tmp_path):
+        tracer = self._traced(monkeypatch, [
             "sweep-snr", "--snr-db", "0:2.5:70",
             "--out", str(tmp_path / "c.csv")])
         assert tracer.stats["cli.write_curve_csv"].work == 29
-        # a curve evaluates its CDFs as arrays, never point by point
-        assert "specfun.meijer_g_log_cdf" not in tracer.stats
+        # below the array-path size the curve calls the one-point CDF, once
+        # per point: its K=3 rounds share one SNR
+        assert 29 < analysis._ARRAY_THRESHOLDS
+        assert tracer.stats["specfun.meijer_g_log_cdf"].calls == 29
 
     def test_tracer_sees_every_simulator_batch(self, monkeypatch, tmp_path):
         # the simulator's lanes must keep calling the module-level

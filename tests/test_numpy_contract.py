@@ -1,12 +1,17 @@
-"""Static guard of the curve path's bitwise contract.
+"""Static guards of the curve path's bitwise contract and of the
+numpy-free start.
 
-The array forms in ``specfun`` and ``analysis`` give the one-point value
-bit for bit only because numpy does nothing there but IEEE-exact
-elementwise arithmetic and bookkeeping: every exp, log, log1p and power goes
-through ``math``, and no series sum uses a numpy reduction. The golden files
-catch a vectorised transcendental or a reduction only where its result
-differs from ``math`` on the machine that runs them; this test reads the
-source and catches it on every platform.
+The array forms in ``_array_path`` give the one-point value bit for bit
+only because numpy does nothing there but IEEE-exact elementwise arithmetic
+and bookkeeping: every exp, log, log1p and power goes through ``math``, and
+no series sum uses a numpy reduction. The golden files catch a vectorised
+transcendental or a reduction only where its result differs from ``math``
+on the machine that runs them; this test reads the source and catches it on
+every platform.
+
+``_array_path`` is also the only module that may import numpy when it is
+imported: the others import it inside the functions that need it, so a
+process that evaluates only short curves never loads numpy.
 """
 
 import ast
@@ -18,9 +23,9 @@ import keyhole_harq
 
 _SRC = Path(keyhole_harq.__file__).parent
 
-_MODULES = ["specfun.py", "analysis.py"]
-# Every numpy name the two modules use: exact arithmetic, array building
-# and indexing, and predicates.
+_MODULES = ["specfun.py", "analysis.py", "_array_path.py"]
+# Every numpy name these modules use: exact arithmetic, array building and
+# indexing, and predicates.
 _ALLOWED = frozenset("""
     sqrt abs maximum add subtract array zeros_like ones ones_like full
     flatnonzero fromiter vstack isfinite isnan errstate
@@ -97,3 +102,51 @@ def test_every_allowed_name_is_used():
 ])
 def test_guard_flags(source):
     assert _violations(ast.parse(source))
+
+
+def _module_level_numpy(tree: ast.AST) -> list:
+    """Lines of the numpy imports that run when the module is imported:
+    those outside every function body and every ``if TYPE_CHECKING:``."""
+    found = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                    and node.test.id == "TYPE_CHECKING"):
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(n.split(".")[0] == "numpy" for n in names):
+                found.append(node.lineno)
+            visit(ast.iter_child_nodes(node))
+
+    visit(tree.body)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in _SRC.glob("*.py") if p.name != "_array_path.py"))
+def test_no_numpy_import_at_module_level(module):
+    assert _module_level_numpy(_parse(module)) == []
+
+
+@pytest.mark.parametrize("source,flagged", [
+    ("import numpy as np", True),
+    ("import numpy.random", True),
+    ("from numpy import exp", True),
+    ("try:\n    import numpy\nexcept ImportError:\n    pass", True),
+    ("class A:\n    import numpy", True),
+    ("def f():\n    import numpy as np", False),
+    ("class A:\n    def f(self):\n        import numpy", False),
+    ("if TYPE_CHECKING:\n    import numpy as np", False),
+    ("import numbers", False),
+])
+def test_module_level_guard_flags(source, flagged):
+    assert bool(_module_level_numpy(ast.parse(source))) == flagged

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyhole_harq import specfun
+from keyhole_harq import _array_path, specfun
 from keyhole_harq.errors import DomainError
 from keyhole_harq.specfun import (
     bessel_k_scaled,
@@ -329,7 +329,9 @@ class TestGainCdf:
             calls.append(r)
             return original(r)
 
+        # the array path imports the one-point helper by name
         monkeypatch.setattr(specfun, "_k01_scaled", counted)
+        monkeypatch.setattr(_array_path, "_k01_scaled", counted)
         # x = 112 is on the survival branch; r = 2 sqrt(x) > 2 uses the fits
         assert not specfun._use_ascending(16, 9, 112.0)
         meijer_g_log_cdf(16, 9, 112.0)
@@ -341,7 +343,7 @@ class TestGainCdf:
         surv = [x for x in xs if not specfun._use_ascending(2, 2, x)]
         assert surv == [0.5, 3.0, 112.0]
         x = np.array(xs)
-        specfun._log_cdf_many(2, 2, x, _log_many(x))
+        _array_path._log_cdf_many(2, 2, x, _log_many(x))
         assert calls == [2.0 * math.sqrt(v) for v in surv]
 
     def test_switchover_continuity(self):
@@ -434,7 +436,7 @@ class TestArrayLogCdf:
     @staticmethod
     def _assert_matches(n_t, n_r, xs):
         x = np.array(xs, dtype=float)
-        got = specfun._log_cdf_many(n_t, n_r, x, _log_many(x))
+        got = _array_path._log_cdf_many(n_t, n_r, x, _log_many(x))
         assert got.shape == (len(xs),)
         for x, g in zip(xs, got.tolist()):
             want = _one_point_log_cdf(n_t, n_r, x)
@@ -512,7 +514,7 @@ class TestArrayLogCdf:
 
     def test_empty(self):
         x = np.array([])
-        assert specfun._log_cdf_many(2, 3, x, x).shape == (0,)
+        assert _array_path._log_cdf_many(2, 3, x, x).shape == (0,)
 
     @pytest.mark.parametrize("xs", [
         _mixed_bessel_args(),
@@ -528,7 +530,7 @@ class TestArrayLogCdf:
         x = (xs / 2.0) ** 2
         for n_r in (1, 9, 16):
             with np.errstate(all="ignore"):
-                got = specfun._survival_many(16, n_r, x, _log_many(x))
+                got = _array_path._survival_many(16, n_r, x, _log_many(x))
             for v, g in zip(x.tolist(), got.tolist()):
                 try:
                     want = specfun._survival(16, n_r, v)

@@ -14,7 +14,8 @@ After each ``perfbench/run.py`` run, ``perfbench/crosscheck.py`` runs once
 from the same checkout, for its per-call timings of the layers (the kernel,
 the gain CDF, ``exact_outage`` and the one-lane simulator), and this
 checkout's ``tools/curve_timing.py`` runs once against that side's root,
-for the curve layer (``outage_curve`` at 1 to 281 points).
+for the curve layer (``outage_curve`` and the one-point loop at 1 to 281
+points, and their ratio; a lower ratio is better).
 
 The output JSON records, for each workload, seed and end-to-end metric of
 ``BENCHMARK.json``, and under ``layers`` for each of those rows: every
@@ -42,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # a crosscheck row: its name, padded to 44 columns, then value and unit
 _ROW = re.compile(r"(?P<name>.{44}) +(?P<value>[0-9.]+) (?P<unit>us/call|"
-                  r"M trials/s)")
+                  r"M trials/s|ratio)")
 
 
 def _git(*args: str) -> bytes:

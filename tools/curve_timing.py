@@ -1,14 +1,27 @@
-"""Per-call timing of the curve layer, ``analysis.outage_curve``.
+"""Per-call timing of the curve layer, ``analysis.outage_curve``, against
+the one-point loop.
 
     python3 tools/curve_timing.py --root .
 
-Imports the package from the checkout at ``--root`` and times
-``outage_curve`` on a K=3 SNR sweep at rate 3, its n points evenly spaced
-over 0-70 dB and shared by the three rounds (as ``sweep-snr`` evaluates
-them), for n = 1, 8, 23 and 281 at the shapes 2x2, 8x5 and 16x16. The 7
-repeats of 50 calls go round-robin over the 12 cases, and each row is the
-minimum of its case's repeats, printed in ``perfbench/crosscheck.py``'s row
-format, so ``tools/bench_pairs.py`` records it with the crosscheck rows.
+Imports the package from the checkout at ``--root`` and times, on a K=3 SNR
+sweep at rate 3 whose n points are evenly spaced over 0-70 dB and shared by
+the three rounds (as ``sweep-snr`` evaluates them), two ways of computing
+the same logs:
+
+* ``outage_curve`` over the columns;
+* the one-point loop: per point a ``SystemConfig``, ``exact_outage`` and
+  ``asymptotic_outage`` (None where it raises ``DomainError``), as
+  ``outage_curve`` maps them below its array-path size.
+
+The cases are n = 1, 8, 23, 64, 65 and 281 points at the shapes 2x2, 8x5
+and 16x16; 64 is ``outage_curve``'s array-path size, so 64 and 65 are the
+first two lengths on the array path. The 7 repeats of 50 calls go
+round-robin over every case and both ways, the two ways of a case back to
+back, and which of them goes first alternates from repeat to repeat. Each timing row is the minimum of its repeats; each ratio row is the
+median over the repeats of outage_curve/one-point, two timings taken
+moments apart, so a slow or fast phase of the machine cancels out of it.
+Rows are printed in ``perfbench/crosscheck.py``'s row format, so
+``tools/bench_pairs.py`` records them with the crosscheck rows.
 """
 
 from __future__ import annotations
@@ -16,47 +29,77 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import statistics
 import sys
 import timeit
 from pathlib import Path
 
 SHAPES = ((2, 2), (8, 5), (16, 16))
-POINTS = (1, 8, 23, 281)
+POINTS = (1, 8, 23, 64, 65, 281)
 K_ROUNDS = 3
 RATE = 3.0
 NUMBER = 50  # calls per repeat
 REPEAT = 7
 
 
-def import_analysis(root: Path):
-    """``keyhole_harq.analysis`` from ``root``'s ``src/`` and nowhere else."""
+def import_package(root: Path):
+    """``keyhole_harq`` from ``root``'s ``src/`` and nowhere else."""
     src = root / "src"
     sys.path.insert(0, str(src))
-    from keyhole_harq import analysis
+    import keyhole_harq
 
-    if not Path(analysis.__file__).resolve().is_relative_to(src):
-        raise ImportError(f"keyhole_harq imported from {analysis.__file__}")
-    return analysis
+    if not Path(keyhole_harq.__file__).resolve().is_relative_to(src):
+        raise ImportError(f"keyhole_harq imported from {keyhole_harq.__file__}")
+    return keyhole_harq
 
 
-def rows(analysis) -> list:
-    """(name, min us per call) for every shape and curve length."""
-    calls = {}
+def one_point_loop(pkg, n_t: int, n_r: int, snr: list) -> tuple:
+    """The exact and asymptotic logs of the curve, point by point."""
+    log_exact, log_asy = [], []
+    for g in snr:
+        config = pkg.SystemConfig(n_t, n_r, K_ROUNDS, RATE, [g] * K_ROUNDS)
+        log_exact.append(pkg.exact_outage(config).log_value)
+        try:
+            log_asy.append(pkg.asymptotic_outage(config).log_value)
+        except pkg.DomainError:
+            log_asy.append(None)
+    return log_exact, log_asy
+
+
+def rows(pkg) -> list:
+    """(name, value, unit) for every shape and curve length: the minimum
+    us per call of each way, and the median outage_curve/one-point ratio."""
+    cases = {}
     for n_t, n_r in SHAPES:
         for n in POINTS:
             snr = [10.0 ** (7.0 * i / max(n - 1, 1)) for i in range(n)]
-            name = f"outage_curve {n_t}x{n_r} K={K_ROUNDS} {n} points"
-            calls[name] = functools.partial(
-                analysis.outage_curve, n_t, n_r, K_ROUNDS, RATE,
-                (snr,) * K_ROUNDS)
-    for call in calls.values():
-        call()  # fill the shape tables before timing
-    best = dict.fromkeys(calls, math.inf)
+            cases[f"{n_t}x{n_r} K={K_ROUNDS} {n} points"] = (
+                functools.partial(pkg.outage_curve, n_t, n_r, K_ROUNDS, RATE,
+                                  (snr,) * K_ROUNDS),
+                functools.partial(one_point_loop, pkg, n_t, n_r, snr))
+    for curve, loop in cases.values():
+        # fills the shape tables before timing, and checks the two ways agree
+        if curve() != loop():
+            raise AssertionError("outage_curve differs from the one-point loop")
+    best = {case: [math.inf, math.inf] for case in cases}
+    ratios = {case: [] for case in cases}
     # round-robin, so a slow spell of the machine hits every case alike
-    for _ in range(REPEAT):
-        for name, call in calls.items():
-            best[name] = min(best[name], timeit.timeit(call, number=NUMBER))
-    return [(name, 1e6 * t / NUMBER) for name, t in best.items()]
+    for rep in range(REPEAT):
+        for case, calls in cases.items():
+            # the way that goes first alternates, so neither gains from it
+            step = 1 if rep % 2 == 0 else -1
+            t = [timeit.timeit(call, number=NUMBER) for call in calls[::step]]
+            t = t[::step]
+            best[case] = [min(b, v) for b, v in zip(best[case], t)]
+            ratios[case].append(t[0] / t[1])
+    out = []
+    for case in cases:
+        curve, loop = best[case]
+        out += [(f"outage_curve {case}", 1e6 * curve / NUMBER, "us/call"),
+                (f"one-point loop {case}", 1e6 * loop / NUMBER, "us/call"),
+                (f"curve/one-point {case}",
+                 statistics.median(ratios[case]), "ratio")]
+    return out
 
 
 def main(argv=None) -> int:
@@ -64,8 +107,8 @@ def main(argv=None) -> int:
     ap.add_argument("--root", type=Path, required=True,
                     help="checkout whose src/ is timed")
     args = ap.parse_args(argv)
-    for name, us in rows(import_analysis(args.root.resolve())):
-        print(f"{name:44s} {us:9.2f} us/call")
+    for name, value, unit in rows(import_package(args.root.resolve())):
+        print(f"{name:44s} {value:9.3f} {unit}")
     return 0
 
 
