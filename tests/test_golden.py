@@ -116,8 +116,7 @@ def test_sweep_rate_json_mirror(tmp_path):
 
 
 def test_diversity_exact_text(tmp_path, capsys):
-    # the text report rounds the fitted slope to 6 significant digits, so
-    # the platform's LAPACK cannot move its bytes
+    # the text report rounds the fitted slope to 6 significant digits
     out = tmp_path / "diversity.txt"
     assert main(["diversity", "--method", "exact", "--out", str(out)]) == 0
     want = (DATA / "diversity_exact_2x2_k3.txt").read_bytes()
@@ -127,8 +126,8 @@ def test_diversity_exact_text(tmp_path, capsys):
 
 
 def test_diversity_json_layout(tmp_path, capsys):
-    # the fitted slope comes from polyfit, whose last bits may follow the
-    # platform's LAPACK, so only the layout and key order are pinned
+    # only the layout and key order are pinned here; the text report above
+    # pins the fitted slope to 6 significant digits
     out = tmp_path / "diversity.json"
     assert main(["diversity", "--json", "--out", str(out)]) == 0
     text = out.read_text()
