@@ -1,13 +1,11 @@
 """The array path of the closed form: a whole curve as float64 columns.
 
-This is the only closed-form module that imports numpy. ``outage_curve``
-imports it only for a curve of at least ``analysis._ARRAY_THRESHOLDS``
-distinct thresholds (points x distinct SNR columns), below which the
-one-point evaluation is faster; so a process that evaluates only short
-curves never loads numpy.
+This is the only closed-form module that imports numpy when it is imported;
+``outage_curve`` imports it only for a curve that takes the array path.
 
-``curve`` checks the columns with one array test each and computes the
-threshold prefix n_t (2^R - 1) once per rate. Each distinct round column
+``curve`` takes the columns that ``analysis._columns`` parsed, marks the
+invalid inputs with one array test per column and computes the threshold
+prefix n_t (2^R - 1) once per rate. Each distinct round column
 goes through the array CDF ``_log_cdf_many`` once, and the columns add in
 round order through ``analysis._per_round``. The ln t of each threshold is
 taken once and feeds both the CDF and the asymptote; ln ln snr is taken
@@ -27,9 +25,9 @@ orders of all points come from the same ``specfun._upward`` recurrence.
 The array path only computes, and it computes every point: an invalid input
 gets a nan threshold prefix, so its exact log is nan, as is the exact log
 of a point where the one-point path would raise. The first point with a nan
-exact log is replayed through ``SystemConfig`` and ``exact_outage``, which
-raises the error the one-point calls in axis order would raise first, and
-within that point its first failing round's.
+exact log is replayed: ``exact_outage`` of its ``SystemConfig`` raises the
+error the one-point calls in axis order would raise first, and within that
+point its first failing round's.
 """
 
 from __future__ import annotations
@@ -40,8 +38,14 @@ import math
 
 import numpy as np
 
-from .analysis import _gain, _log_log, _per_round, _term, exact_outage
-from .keyhole import SystemConfig
+from .analysis import (
+    _blank,
+    _gain,
+    _log_log,
+    _per_round,
+    _term,
+    exact_outage,
+)
 from .specfun import (
     _ASCENDING_F,
     _ASCENDING_X,
@@ -193,17 +197,24 @@ def _log_log_each(snr):
     return out
 
 
-def _curve(n_t: int, n_r: int, gains, snrs: list, col: list) -> tuple:
-    """``exact_outage`` and ``asymptotic_outage`` logs at every point of a
-    curve at once.
+def curve(n_t: int, n_r: int, rate, snrs: list, col: list, n: int,
+          configs) -> tuple:
+    """``outage_curve`` on the array path, all points at once.
 
-    Point i has the ``_gain`` gains[i] of its rate, nan at an invalid
-    input, and in round j the SNR snrs[col[j]][i]: snrs holds the distinct
-    round columns, float64 arrays like gains. Returns the float64 array of
-    exact logs, nan exactly where the one-point path raises, and the list
-    of asymptotic logs, None where ``asymptotic_outage`` raises or its exp
-    overflows at a point with an exact log.
+    ``rate`` and the distinct round columns ``snrs`` are as
+    ``analysis._columns`` parses them, and round j is snrs[col[j]].
+    ``configs`` yields each point's ``SystemConfig``, for the replay of the
+    first failing point.
     """
+    gains = (np.full(n, _gain(n_t, rate)) if isinstance(rate, float) else
+             np.fromiter(map(functools.partial(_gain, n_t), rate), float, n))
+    rate, *snrs = [np.full(n, c) if isinstance(c, float)
+                   else np.array(c, dtype=float) for c in (rate, *snrs)]
+    # an invalid input gets a nan gain, so its exact log is nan
+    ok = np.isfinite(rate) & (rate >= 0.0)
+    for s in snrs:
+        ok &= np.isfinite(s) & (s > 0.0)
+    gains[~ok] = math.nan
     with np.errstate(all="ignore"):
         # thresholds: one row per distinct round column
         t = np.vstack([gains / s for s in snrs])
@@ -218,63 +229,16 @@ def _curve(n_t: int, n_r: int, gains, snrs: list, col: list) -> tuple:
         log_exact = _per_round(col, log_cdf.__getitem__)
         log_asy = _per_round(col, lambda d: _term(
             n_t, n_r, log_t[d], snrs[d], _log_log_each))
-    # at rate 0 every threshold is 0, so log_asy is -inf as in
-    # ``asymptotic_outage``. It is nan where a square array's SNR is <= 1
-    # (no ln ln snr was taken), and, at a point that raises for its
-    # overflowed threshold, inf or nan; below exp(709) nothing overflows.
-    asy = log_asy.tolist()
-    for i in np.flatnonzero(~(log_asy <= 709.0)).tolist():
-        try:
-            blank = math.isnan(math.exp(asy[i]))
-        except OverflowError:
-            blank = True
-        if blank:
-            asy[i] = None
-    return log_exact, asy
-
-
-def curve(n_t: int, n_r: int, k_rounds: int, rate, snr_per_round) -> tuple:
-    """``outage_curve`` on the array path, after its count checks.
-
-    Rounds given as the same object, or as equal floats, share one column.
-    """
-    index = {}
-    distinct, col = [], []
-    for s in snr_per_round:
-        d = index.setdefault(s if isinstance(s, float) else (id(s),),
-                             len(distinct))
-        if d == len(distinct):
-            distinct.append(s)
-        col.append(d)
-    cols = [np.array(c, dtype=float) for c in (rate, *distinct)]
-    scalar = [not c.shape for c in cols]
-    shapes = {c.shape for c in cols} - {()}
-    if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
-        raise ValueError(
-            "rate and each per-round SNR must be a float or a sequence of "
-            f"one common length; got shapes {sorted(shapes)}")
-    (n,) = shapes.pop() if shapes else (1,)
-    if scalar[0]:
-        gains = np.full(n, _gain(n_t, cols[0].item()))
-    else:
-        gains = np.fromiter(map(functools.partial(_gain, n_t),
-                                cols[0].tolist()), float, n)
-    cols = [np.full(n, c) if one else c for c, one in zip(cols, scalar)]
-    ok = np.isfinite(cols[0]) & (cols[0] >= 0.0)
-    for c in cols[1:]:
-        ok &= np.isfinite(c) & (c > 0.0)
-    gains[~ok] = math.nan
-    if len(col) == k_rounds:
-        log_exact, log_asy = _curve(n_t, n_r, gains, cols[1:], col)
-    else:  # SystemConfig's SNR count check fails at every point
-        log_exact, log_asy = np.full(n, math.nan), []
     failed = np.flatnonzero(np.isnan(log_exact))
     if failed.size:  # the one-point path raises the first failing point's
         first = int(failed[0])
-        v = exact_outage(SystemConfig(
-            n_t, n_r, k_rounds, rate if scalar[0] else rate[first],
-            [s if scalar[1 + d] else s[first]
-             for s, d in zip(snr_per_round, col)]))
+        v = exact_outage(next(itertools.islice(configs, first, None)))
         raise RuntimeError(f"curve point {first} is nan in the array path "
                            f"only; its one-point log is {v.log_value!r}")
-    return log_exact.tolist(), log_asy
+    # at rate 0 every threshold is 0, so log_asy is -inf as in
+    # ``asymptotic_outage``. It is nan where a square array's SNR is <= 1
+    # (no ln ln snr was taken); below exp(709) nothing overflows.
+    asy = log_asy.tolist()
+    for i in np.flatnonzero(~(log_asy <= 709.0)).tolist():
+        asy[i] = _blank(asy[i])
+    return log_exact.tolist(), asy

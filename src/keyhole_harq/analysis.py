@@ -21,25 +21,24 @@ written once over floats or arrays; no per-shape object or cache holds
 their constants.
 
 ``outage_curve`` evaluates a whole curve (one shape and K, many rates or
-SNRs): it takes ``SystemConfig``'s arguments, with the rate and each round's
-SNR a float or a sequence of n values, and checks the shape and K once.
-Rounds given as one object, or as equal floats, share one column of
-thresholds. A curve of fewer than ``_ARRAY_THRESHOLDS`` distinct thresholds
-(points x distinct SNR columns, counted from the columns' lengths alone)
-calls ``exact_outage`` and ``asymptotic_outage`` point by point, which is
-faster there than any array set-up. A longer curve takes the array path in
+SNRs). ``_columns`` parses its columns once for both paths, and
+``_configs`` builds each point's ``SystemConfig`` for both. A curve of
+fewer than ``_ARRAY_THRESHOLDS`` distinct thresholds (points x distinct SNR
+columns) calls the one-point functions point by point, which is faster
+there than any array set-up. A longer curve takes the array path in
 ``_array_path``, which evaluates it as float64 columns, each point bitwise
 the one-point value, and replays its first failing point through the
-one-point evaluation. So either way a curve raises the error the one-point
-calls in axis order would raise first, and within that point its first
-failing round's. This module imports no numpy; ``_array_path``, and with it
-numpy, loads on the first curve that takes the array path.
+one-point evaluation. This module imports numpy only to name the fault of
+a column it refuses; ``_array_path``, and with it numpy, loads on the first
+curve that takes the array path.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DomainError, UnsupportedConfigError
 from .keyhole import SystemConfig, check_count
@@ -126,77 +125,116 @@ def _per_round(snrs, log_term):
     return log_p
 
 
-# A curve with fewer distinct thresholds than this (points x distinct SNR
-# columns) is evaluated point by point: below it the array path's fixed
-# cost exceeds the one-point calls (tools/curve_timing.py).
+# the array-path size (module docstring; tools/curve_timing.py)
 _ARRAY_THRESHOLDS = 64
 
 
-def _short_points(columns: tuple):
-    """The point count n of a curve that the one-point path evaluates.
+def _column(c, lengths: set):
+    """The column c as a float or a list of floats, adding a list's length
+    to ``lengths``; raises where ``float`` refuses c or one of its values."""
+    if type(c) is float:
+        return c
+    if type(c) is not list:
+        if getattr(c, "ndim", 0) > 1:  # numpy names its shape
+            raise TypeError
+        if hasattr(c, "tolist"):  # a numpy array or scalar
+            c = c.tolist()
+        if isinstance(c, (str, bytes)) or not isinstance(c, Sequence):
+            return float(c)
+    c = [*map(float, c)]
+    lengths.add(len(c))
+    return c
 
-    ``columns`` are the rate and each round's SNRs. That is a curve whose
-    columns are each a float or a list or tuple of n plain floats, with n
-    times its distinct SNR columns below ``_ARRAY_THRESHOLDS``; None for
-    every other curve, whose columns the array path checks.
+
+def _columns(rate, snr_per_round) -> tuple:
+    """A curve's columns, parsed once for both paths.
+
+    Returns the rate column and the distinct round columns, each a float or
+    a list of n floats; each round's index into the distinct columns; and
+    n, 1 when every column is a float. Rounds given as the same object, or
+    as equal floats, share a distinct column.
     """
-    n = None
-    for c in columns:
-        if not isinstance(c, float):
-            if not isinstance(c, (list, tuple)) or n not in (None, len(c)):
-                return None
-            n = len(c)
-    if n is None:
-        n = 1
-    # the rounds, len(columns) - 1, bound the distinct columns
-    if n * (len(columns) - 1) >= _ARRAY_THRESHOLDS and n * len(
-            {s if isinstance(s, float) else (id(s),)
-             for s in columns[1:]}) >= _ARRAY_THRESHOLDS:
+    snr_per_round = tuple(snr_per_round)
+    keys, distinct, index, lengths = {}, [], [], set()
+    try:
+        for s in snr_per_round:
+            d = keys.setdefault(s if isinstance(s, float) else (id(s),),
+                                len(distinct))
+            if d == len(distinct):
+                distinct.append(_column(s, lengths))
+            index.append(d)
+        rate = _column(rate, lengths)
+        n, = lengths or [1]
+    except (TypeError, ValueError):
+        # numpy names the shapes, or raises for a value it cannot read
+        import numpy as np
+
+        shapes = {np.array(c, dtype=float).shape
+                  for c in (rate, *snr_per_round)} - {()}
+        if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
+            raise ValueError(
+                "rate and each per-round SNR must be a float or a sequence "
+                f"of one common length; got shapes {sorted(shapes)}"
+            ) from None
+        raise
+    return rate, distinct, index, n
+
+
+def _configs(n_t, n_r, k_rounds, rate, rounds, n: int):
+    """Each point's ``SystemConfig``, in axis order: ``rate`` and each of
+    the K ``rounds`` is a float or a sequence of n values."""
+    rate, *rounds = [[c] * n if type(c) is float else c
+                     for c in (rate, *rounds)]
+    # with no rounds each point gets no SNRs, which SystemConfig refuses
+    return map(partial(SystemConfig, n_t, n_r, k_rounds), rate,
+               zip(*rounds) if rounds else [()] * n)
+
+
+def _blank(log_asy: float):
+    """``log_asy``, or None where ``asymptotic_outage`` has no value: where
+    it is nan (no leading term) or its exp overflows."""
+    try:
+        return None if math.isnan(math.exp(log_asy)) else log_asy
+    except OverflowError:
         return None
-    last = None  # rounds that share a column pass it in a row
-    for c in columns:
-        if c is not last and not isinstance(c, float):
-            if not {float}.issuperset(map(type, c)):
-                return None
-            last = c
-    return n
 
 
 def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
     """Exact and asymptotic log outage along a curve of n operating points.
 
-    Takes ``SystemConfig``'s arguments, with columns allowed: ``rate`` is a
-    float or a sequence of n rates, and each of the K entries of
-    ``snr_per_round`` a float or a sequence of n linear SNRs. Rounds given
-    as the same object, or as equal floats, share one CDF column. Returns
-    two lists, ``log_exact`` and ``log_asymptotic``: at each point the
-    ``log_value`` fields of ``exact_outage`` and ``asymptotic_outage``,
-    bitwise; ``log_asymptotic`` is None where ``asymptotic_outage`` raises
-    ``DomainError``. The shape and K are checked once. A curve of fewer
-    than ``_ARRAY_THRESHOLDS`` distinct thresholds calls the one-point
-    functions at each point in axis order; a longer one takes the array
-    path (``_array_path.curve``). Either way a curve raises what the
-    one-point calls in axis order raise first.
+    Takes ``SystemConfig``'s arguments, with columns allowed: ``rate`` and
+    each of the K entries of ``snr_per_round`` is a float or a sequence of
+    n values (a list, a tuple or a numpy array of values ``float`` takes).
+    Rounds given as the same object, or as equal floats, share one CDF
+    column. Returns two lists, ``log_exact`` and ``log_asymptotic``: at each
+    point the ``log_value`` fields of ``exact_outage`` and
+    ``asymptotic_outage``, bitwise; ``log_asymptotic`` is None where
+    ``asymptotic_outage`` raises ``DomainError``. A curve of fewer than
+    ``_ARRAY_THRESHOLDS`` distinct thresholds calls the one-point functions
+    at each point in axis order; a longer one takes the array path
+    (``_array_path.curve``). Either way a curve raises what the one-point
+    calls in axis order raise first, after any error of the columns.
     """
     n_t = check_count("n_t", n_t)
     n_r = check_count("n_r", n_r)
     k_rounds = check_count("k_rounds", k_rounds)
-    columns = (rate, *snr_per_round)
-    n = _short_points(columns)
-    if n is None:
+    rates, distinct, index, n = _columns(rate, snr_per_round)
+    # SystemConfig quotes a refused rate as given
+    configs = _configs(n_t, n_r, k_rounds,
+                       [rate] * n if type(rates) is float else rate,
+                       map(distinct.__getitem__, index), n)
+    # with the wrong SNR count every point fails, so point 0 raises first
+    if n * len(distinct) >= _ARRAY_THRESHOLDS and len(index) == k_rounds:
         from ._array_path import curve
 
-        return curve(n_t, n_r, k_rounds, rate, columns[1:])
+        return curve(n_t, n_r, rates, distinct, index, n, configs)
     log_exact, log_asy = [], []
-    for r, *snrs in zip(*[[c] * n if isinstance(c, float) else c
-                          for c in columns]):
-        config = SystemConfig(n_t, n_r, k_rounds, r, snrs)
+    for config in configs:
         log_exact.append(_log_exact(config))
         try:
             v = _log_asymptotic(config)
-            # only above 709 can asymptotic_outage's exp overflow and raise
-            log_asy.append(v if v <= 709.0
-                           else asymptotic_outage(config).log_value)
+            # only above 709 can asymptotic_outage's exp overflow
+            log_asy.append(v if v <= 709.0 else _blank(v))
         except DomainError:
             log_asy.append(None)
     return log_exact, log_asy

@@ -32,6 +32,7 @@ from . import __version__
 # commands evaluate through outage_curve. They stay module attributes
 # because perfbench/tracing.py rebinds them to time those layers.
 from .analysis import (
+    _configs,
     asymptotic_outage,
     coding_gain,
     diversity_order,
@@ -93,8 +94,11 @@ def parse_range(text: str) -> list:
         raise ValueError(f"range step must be > 0: {text!r}")
     if stop < start:
         raise ValueError(f"range stop is below start: {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step + 1e-9
+    # refused before it is built: a step of 1e-300 asks for ~1e300 points
+    if not steps < 1e6:
+        raise ValueError(f"range has more than 1000000 points: {text!r}")
+    return [start + i * step for i in range(int(math.floor(steps)) + 1)]
 
 
 def parse_gamma_db(text: str, k_rounds: int) -> tuple:
@@ -178,14 +182,9 @@ def _sim_columns(config: SystemConfig, trials: int, seed: int, lanes: int):
     return r.estimate, lo, hi
 
 
-def _at(column, i: int):
-    """Point i of a column given as a float or a sequence."""
-    return column if isinstance(column, float) else column[i]
-
-
 def _curve_columns(args, axis: list, rate, snrs: tuple) -> tuple:
-    """The CSV columns of a curve over ``axis``, whose point i has rate
-    ``_at(rate, i)`` and per-round SNRs ``_at(s, i)`` for s in snrs.
+    """The CSV columns of a curve over ``axis``, whose rate and per-round
+    SNRs ``snrs`` are each a float or a column of one value per point.
 
     The analytic columns come from one eager ``outage_curve`` evaluation
     of the columns; a ``SystemConfig`` is built only for the simulated
@@ -199,10 +198,8 @@ def _curve_columns(args, axis: list, rate, snrs: tuple) -> tuple:
     sim = lo = hi = (None,) * n
     if args.trials > 0:
         sim, lo, hi = zip(*(
-            _sim_columns(SystemConfig(args.nt, args.nr, args.k, _at(rate, i),
-                                      tuple(_at(s, i) for s in snrs)),
-                         args.trials, args.seed, args.lanes)
-            for i in range(n)))
+            _sim_columns(config, args.trials, args.seed, args.lanes)
+            for config in _configs(args.nt, args.nr, args.k, rate, snrs, n)))
     return axis, exact, asy, sim, lo, hi, log10
 
 

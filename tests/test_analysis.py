@@ -5,6 +5,7 @@ import contextlib
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,23 +157,27 @@ def _dispatch_at(size):
 
 def _on_both_paths(*args):
     """``outage_curve(*args)`` as dispatched, checked against the same call
-    with every curve sent to the array path: both return the same bits, or
-    raise errors of one type and message. Returns or raises the first."""
+    with every curve sent to the array path and with every curve sent to
+    the one-point path: all three return the same bits, or raise errors of
+    one type and message. Returns or raises the first."""
     results = []
-    for size in (analysis._ARRAY_THRESHOLDS, 0):
+    for size in (analysis._ARRAY_THRESHOLDS, 0, math.inf):
         with _dispatch_at(size):
             try:
                 results.append(outage_curve(*args))
             except Exception as exc:  # compared below, then re-raised
                 results.append(exc)
-    got, arrays = results
+    got, *forced = results
+    for other in forced:
+        if isinstance(got, Exception):
+            assert type(other) is type(got), (other, got)
+            assert str(other) == str(got)
+        else:
+            assert not isinstance(other, Exception), other
+            assert [list(map(_bits, c)) for c in other] == \
+                [list(map(_bits, c)) for c in got]
     if isinstance(got, Exception):
-        assert type(arrays) is type(got), (arrays, got)
-        assert str(arrays) == str(got)
         raise got
-    assert not isinstance(arrays, Exception), arrays
-    assert [list(map(_bits, c)) for c in arrays] == \
-        [list(map(_bits, c)) for c in got]
     return got
 
 
@@ -255,6 +260,44 @@ class TestOutageCurve:
         with pytest.raises(ValueError) as got:
             _curve(n_t, n_r, k, points)
         assert str(got.value) == str(want.value)
+
+    # A column is a float, or a sequence of n values that float() takes
+    # (numpy arrays included); a str is one value. The curve answers with
+    # the one-point calls' bits on the columns as given.
+    @pytest.mark.parametrize("rate,rounds", [
+        ([1, 2, 3], (10.0, 100.0)),
+        (2.5, (np.array([2.0, 10.0, 1e3]), 50.0)),
+        ("3.0", ([5.0, 50.0], [5.0, 50.0])),
+    ], ids=["int-rate-list", "numpy-snr-column", "str-rate"])
+    def test_accepted_columns(self, rate, rounds):
+        def at(c, i):
+            return c if isinstance(c, (float, str)) else c[i]
+
+        got = _on_both_paths(2, 3, 2, rate, rounds)
+        want = [_one_point_logs(2, 3, 2, at(rate, i),
+                                [at(s, i) for s in rounds])
+                for i in range(len(got[0]))]
+        assert len(want) in (2, 3)
+        assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
+
+    SHAPES = ("rate and each per-round SNR must be a float or a sequence of "
+              "one common length; got shapes ")
+
+    @pytest.mark.parametrize("rate,rounds,message", [
+        ([[1.0], [2.0]], (10.0,), SHAPES + "[(2, 1)]"),
+        (3.0, (np.full((2, 1), 10.0),), SHAPES + "[(2, 1)]"),
+        (np.zeros((0, 3)), (10.0,), SHAPES + "[(0, 3)]"),
+        ([1.0, 2.0], ([10.0, 20.0, 30.0],), SHAPES + "[(2,), (3,)]"),
+        ([1.0, "abc"], (10.0,), "could not convert string to float: 'abc'"),
+        # SystemConfig quotes a refused rate as given
+        ([1, -1], (10.0,), "rate must be finite and >= 0, got -1"),
+    ], ids=["2-d-rate", "2-d-snr", "empty-2-d-rate", "lengths-2-3", "abc",
+            "int-rate"])
+    def test_refused_columns(self, rate, rounds, message):
+        with pytest.raises(ValueError) as got:
+            _on_both_paths(2, 2, 1, rate, rounds)
+        assert type(got.value) is ValueError
+        assert str(got.value) == message
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_empty_curve(self, k):

@@ -1,6 +1,7 @@
 """CLI tests: range parsing, the fixed CSV schema, JSON mirrors, exit codes,
 and agreement between emitted files and direct library calls."""
 
+import ast
 import csv
 import json
 import math
@@ -82,6 +83,17 @@ class TestParsing:
     def test_range_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_range(bad)
+
+    @pytest.mark.parametrize("text", [
+        "0:1:1000000",     # 1,000,001 points
+        "0:1e-300:1",      # ~1e300 points
+        "0:1e-320:1",      # the point count overflows to inf
+        "-1e308:1:1e308",  # so does the span
+    ])
+    def test_range_rejects_more_than_a_million_points(self, text):
+        # the count is checked before any point is built
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            parse_range(text)
 
     def test_db_conversion(self):
         assert db_to_linear(0.0) == 1.0
@@ -433,23 +445,40 @@ class TestSimulate:
                               text=True, env=_src_env())
         assert proc.stdout == "False\n", proc.stderr
 
+    # Every module besides keyhole_harq.* that a fresh CPython 3.11 loads to
+    # import the CLI and run the four default closed-form commands: the
+    # CLI's argparse, json, dataclasses, concurrent.futures and logging with
+    # their dependencies, and locale from the first command. Each process
+    # pays for these imports, so a new one is a change to review here.
+    COLD_START = frozenset("""
+        __future__ _ast _heapq _json _locale _opcode _queue _string argparse
+        ast concurrent concurrent.futures concurrent.futures._base
+        concurrent.futures.thread copy dataclasses dis gettext heapq
+        importlib.machinery inspect json json.decoder json.encoder
+        json.scanner linecache locale logging opcode queue string textwrap
+        token tokenize traceback
+    """.split())
+
     def test_closed_form_start_imports_no_numpy(self, tmp_path):
         # the package, the CLI and the default closed-form commands run
-        # without numpy, whose import would cost every process ~0.1 s
+        # without numpy, whose import would cost every process ~0.1 s, and
+        # load no module beyond COLD_START
         commands = [["sweep-snr"], ["sweep-rate"], ["coding-gain"],
                     ["diversity", "--method", "exact"]]
         out = str(tmp_path / "o")
         code = ("import sys\n"
-                "import keyhole_harq\n"
-                "print('numpy' in sys.modules)\n"
+                "before = set(sys.modules)\n"
                 "from keyhole_harq.cli import main\n"
-                "print('numpy' in sys.modules)\n"
                 f"for argv in {commands!r}:\n"
                 f"    assert main(argv + ['--out', {out!r}]) == 0\n"
-                "    print('numpy' in sys.modules)\n")
+                "print(sorted(set(sys.modules) - before))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=_src_env())
-        assert proc.stdout == "False\n" * 6, proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        loaded = {m for m in ast.literal_eval(proc.stdout)
+                  if m.split(".")[0] != "keyhole_harq"}
+        assert "numpy" not in loaded
+        assert sorted(loaded - self.COLD_START) == []
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--trials", "1000", "--lanes", "1"],
@@ -495,6 +524,8 @@ class TestDomainEdges:
         (["simulate", "--gamma-db", "4000", "--trials", "10"], 2, "SNR"),
         (["diversity", "--snr-db", "3000:100:3100", "--method", "exact"],
          2, "SNR"),
+        # refused from its point count, before a point is built
+        (["sweep-snr", "--snr-db", "0:1e-300:1"], 2, "range"),
     ])
     def test_typed_outcome(self, capsys, argv, code, quantity):
         assert main(argv) == code
