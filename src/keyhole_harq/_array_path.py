@@ -12,15 +12,17 @@ taken once and feeds both the CDF and the asymptote; ln ln snr is taken
 only where a square array's asymptote is not blank.
 
 Each value is bitwise the one-point value. Only IEEE-exact operations run in
-numpy (``+ - * /``, ``sqrt``, ``abs``, comparisons, ``maximum``),
-elementwise and in the one-point code's left-to-right grouping; every exp,
-log, log1p and ``**`` goes through ``math`` one element at a time
-(``_each``), because numpy's vectorised ones may differ in the last bit. No
-series sum uses a numpy reduction: a term loop adds one term per step to
-every live point, under a mask, and a point stops being live at the very
-term where the one-point loop stops. Every K_0/K_1 comes from
-``specfun._k01_scaled``, mapped over the survival points, and the higher
-orders of all points come from the same ``specfun._upward`` recurrence.
+numpy (``+ - * /``, ``sqrt``, ``abs``, comparisons), elementwise and in the
+one-point code's left-to-right grouping; every exp, log, log1p and ``**``
+goes through ``math`` one element at a time (``_each``), because numpy's
+vectorised ones may differ in the last bit. No series sum uses a numpy
+reduction: a term loop adds one term per step to every live point, under a
+mask, and a point stops being live at the very term where the one-point
+loop stops. Every K_0/K_1 comes from ``specfun._k01_scaled``, mapped over
+the survival points, and the higher orders of all points come from the
+same ``specfun._upward`` recurrence. A point takes the series the one-point
+path takes: the ascending one below the shape's ``_shape_table`` switch,
+1 - S(x) from it on.
 
 The array path only computes, and it computes every point: an invalid input
 gets a nan threshold prefix, so its exact log is nan, as is the exact log
@@ -46,13 +48,7 @@ from .analysis import (
     _term,
     exact_outage,
 )
-from .specfun import (
-    _ASCENDING_F,
-    _ASCENDING_X,
-    _k01_scaled,
-    _shape_table,
-    _upward,
-)
+from .specfun import _k01_scaled, _shape_table, _upward
 
 
 def _each(fn, a):
@@ -126,30 +122,6 @@ def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
     return n_r * logx + _each(math.log, g) - tab.lg_t - tab.lg_r
 
 
-def _use_ascending_many(n_t: int, n_r: int, x, logx):
-    """``specfun._use_ascending`` at each element of the array x, with
-    logx = ln x.
-
-    As in the scalar, the leading term is formed only at x >= _ASCENDING_X.
-    A leading term whose exp overflows is nan here, and nan < _ASCENDING_F
-    is False, as the scalar's overflow branch returns.
-    """
-    asc = x < _ASCENDING_X
-    far = np.flatnonzero(~asc)
-    if not far.size:
-        return asc
-    tab = _shape_table(n_t, n_r)
-    m = n_r
-    lgg = tab.lg_t + tab.lg_r
-    lx = logx[far]
-    if n_t > n_r:
-        lead = _each(math.exp, tab.lg_tau + m * lx - lgg) / m
-    else:
-        lead = _each(math.exp, m * lx - lgg) * np.maximum(-lx, 1.0) / m
-    asc[far] = lead < _ASCENDING_F
-    return asc
-
-
 def _log_cdf_many(n_t: int, n_r: int, x, logx):
     """``meijer_g_log_cdf`` at each element of the 1-D float64 array x.
 
@@ -164,14 +136,14 @@ def _log_cdf_many(n_t: int, n_r: int, x, logx):
     out = np.full(x.shape, -math.inf)
     pos = np.flatnonzero(x > 0.0)
     try:
-        _shape_table(big, small)
+        switch = _shape_table(big, small).switch
     except OverflowError:  # exp(lgamma(tau)) overflows: no series applies
         out[pos] = math.nan
         return out
     with np.errstate(all="ignore"):
         xp = x[pos]
         logx = logx[pos]
-        asc = _use_ascending_many(big, small, xp, logx)
+        asc = xp < switch
         surv = np.flatnonzero(~asc)
         if surv.size:
             s = _survival_many(big, small, xp[surv], logx[surv])

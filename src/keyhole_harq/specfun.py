@@ -22,11 +22,14 @@ The public functions are plain float64 arithmetic on the standard library's
   The factors of both series that depend only on the shapes (lgamma
   values, the ascending series' coefficients for every term) are computed
   once per shape and kept in a bounded LRU table, so an evaluation at x does
-  only the x-dependent arithmetic, in the same grouping as before.
+  only the x-dependent arithmetic, in the same grouping as before. The
+  table also holds the shape's switch: x below it takes the ascending
+  series, x at or above it 1 - S(x), on both the one-point and the array
+  path.
 
 This module imports no numpy. The array forms that evaluate a long curve
-(``_log_cdf_many`` and the ``*_many`` helpers it calls: the branch choice
-and both series over a float64 array of x) live in ``_array_path``, which
+(``_log_cdf_many`` and the ``*_many`` helpers it calls: both series over a
+float64 array of x) live in ``_array_path``, which
 ``outage_curve`` loads only when a curve takes the array path. Each of
 their values is bitwise the one-point value here, and nan where the
 one-point call raises. They map ``_k01_scaled`` over the survival points
@@ -225,6 +228,7 @@ class _ShapeTable(NamedTuple):
     big_k: tuple         # M + k
     psi: tuple           # psi(k+1) + psi(tau+k+1) + 1/(M+k)
     surv: tuple          # (0.5 (n_t+m), lgamma(m+1)), m < n_r
+    switch: float        # least x > 0 that 1 - S(x) serves
 
 
 @functools.lru_cache(maxsize=256)
@@ -254,6 +258,7 @@ def _shape_table(n_t: int, n_r: int) -> _ShapeTable:
         big_k=tuple(big_k),
         psi=tuple(psi),
         surv=tuple((0.5 * (n_t + j), math.lgamma(j + 1)) for j in range(n_r)),
+        switch=_switch(n_t, n_r),
     )
 
 
@@ -312,32 +317,48 @@ def _cdf_ascending(n_t: int, n_r: int, x: float) -> float:
     return n_r * logx + math.log(g) - tab.lg_t - tab.lg_r
 
 
-# Switch away from 1 - S(x) when the result would be dominated by
-# cancellation. The x threshold guards tiny arguments outright; the leading
-# term estimate guards configurations whose CDF is small even at moderate x
-# (larger min(n_t, n_r)), where 1 - S(x) would lose most of its digits. The
+# Each shape switches from the ascending series to 1 - S(x) where the
+# ascending series' leading term, an estimate of F, reaches _ASCENDING_F:
+# below that, 1 - S(x) would lose most of its digits to cancellation. The
 # leading term overestimates F by up to ~2 orders for large equal shapes, so
-# the cut sits well above the accuracy target: the ascending series is good
-# to ~1e-13 everywhere below it (checked against 60-digit quadrature for
-# shapes up to 8), while 1 - S keeps >= 12 digits above it.
-_ASCENDING_X = 1e-4
+# the cut sits well above the accuracy target. Against the mpmath oracle at
+# each shape's switch and its lower neighbour, up to 8x8, the relative error
+# in F is at most 1.7e-12 on the ascending side (8x8, x = 8.19) and 1.4e-12
+# on the survival side (8x7, x = 8.22). It grows with the shapes: 8.3e-10 at
+# 12x9 and 2.4e-7 at 16x16, both just below the switch.
 _ASCENDING_F = 0.1
 
 
-def _use_ascending(n_t: int, n_r: int, x: float) -> bool:
-    if x < _ASCENDING_X:
-        return True
-    tab = _shape_table(n_t, n_r)
+def _switch(n_t: int, n_r: int) -> float:
+    """The least float x > 0 whose leading ascending term is not below
+    _ASCENDING_F (n_t >= n_r).
+
+    The term, x^m Gamma(tau) / (m Gamma(n_t) Gamma(n_r)) for tau > 0 and
+    x^m max(-ln x, 1) / (m Gamma(m)^2) for tau = 0, grows with x, so the
+    test ``lead < _ASCENDING_F`` flips once. Bisection over all positive
+    floats, by geometric means down to a factor of 2 and then by arithmetic
+    means, finds the flip to two adjacent floats.
+    """
     m = n_r
-    lgg = tab.lg_t + tab.lg_r
-    try:
-        if n_t > n_r:
-            lead = math.exp(tab.lg_tau + m * math.log(x) - lgg) / m
+    lgg = math.lgamma(n_t) + math.lgamma(n_r)
+    lg_tau = math.lgamma(n_t - n_r) if n_t > n_r else math.nan
+    lo, hi = math.ulp(0.0), math.nextafter(math.inf, 0.0)
+    while math.nextafter(lo, hi) != hi:
+        x = (math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo
+             else 0.5 * (lo + hi))
+        try:
+            if n_t > n_r:
+                lead = math.exp(lg_tau + m * math.log(x) - lgg) / m
+            else:
+                lead = (math.exp(m * math.log(x) - lgg)
+                        * max(-math.log(x), 1.0) / m)
+        except OverflowError:
+            lead = math.inf  # past float range: far above the cut
+        if lead < _ASCENDING_F:
+            lo = x
         else:
-            lead = math.exp(m * math.log(x) - lgg) * max(-math.log(x), 1.0) / m
-    except OverflowError:
-        return False  # a leading term past float range is far above the cut
-    return lead < _ASCENDING_F
+            hi = x
+    return hi
 
 
 def meijer_g_log_cdf(n_t, n_r, x: float) -> float:
@@ -356,7 +377,7 @@ def meijer_g_log_cdf(n_t, n_r, x: float) -> float:
     # makes that exact bitwise and keeps the survival sum short
     big, small = (n_r, n_t) if n_r > n_t else (n_t, n_r)
     try:
-        if _use_ascending(big, small, x):
+        if x < _shape_table(big, small).switch:
             log_f = _cdf_ascending(big, small, x)
         else:
             s = _survival(big, small, x)

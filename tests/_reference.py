@@ -138,3 +138,26 @@ def square_bracket(n: int, rate: float) -> float:
     prod_k (1 - a / ln snr_k).
     """
     return math.log(n * (2.0 ** rate - 1.0)) + 2.0 * float(mp.euler) - 1.0 / n
+
+
+def use_ascending(n_t: int, n_r: int, x: float) -> bool:
+    """The gain CDF's series choice as it was once made at every x (n_t >=
+    n_r): the ascending series below x = 1e-4, or where the series' leading
+    term is below 0.1.
+
+    A frozen copy, with each lgamma computed here, of the point-by-point
+    test that the per-shape switch of ``specfun`` replaced; the tests pin
+    the switch to it.
+    """
+    if x < 1e-4:
+        return True
+    m = n_r
+    lgg = math.lgamma(n_t) + math.lgamma(n_r)
+    try:
+        if n_t > n_r:
+            lead = math.exp(math.lgamma(n_t - n_r) + m * math.log(x) - lgg) / m
+        else:
+            lead = math.exp(m * math.log(x) - lgg) * max(-math.log(x), 1.0) / m
+    except OverflowError:
+        return False
+    return lead < 0.1

@@ -31,6 +31,7 @@ from _reference import (
     gain_log_cdf_oracle,
     gain_log_cdf_series,
     package_pdf_integral,
+    use_ascending,
 )
 
 # 40+ digit evaluations of the defining integrals, frozen as float64.
@@ -333,25 +334,49 @@ class TestGainCdf:
         monkeypatch.setattr(specfun, "_k01_scaled", counted)
         monkeypatch.setattr(_array_path, "_k01_scaled", counted)
         # x = 112 is on the survival branch; r = 2 sqrt(x) > 2 uses the fits
-        assert not specfun._use_ascending(16, 9, 112.0)
+        assert 112.0 >= specfun._shape_table(16, 9).switch
         meijer_g_log_cdf(16, 9, 112.0)
         assert calls == [2.0 * math.sqrt(112.0)]
         # a curve evaluates them once per survival point, on both sides of
         # r = 2, and never at an ascending point
         calls.clear()
         xs = [1e-5, 0.5, 3.0, 112.0]
-        surv = [x for x in xs if not specfun._use_ascending(2, 2, x)]
+        surv = [x for x in xs if x >= specfun._shape_table(2, 2).switch]
         assert surv == [0.5, 3.0, 112.0]
         x = np.array(xs)
         _array_path._log_cdf_many(2, 2, x, _log_many(x))
         assert calls == [2.0 * math.sqrt(v) for v in surv]
 
     def test_switchover_continuity(self):
-        # the survival/ascending handover must not leave a jump
-        for n_t, n_r, x in ((2, 1, 1e-4), (1, 1, 1e-4), (2, 2, 1e-4)):
-            below = meijer_g_cdf(n_t, n_r, x * (1.0 - 1e-9))
-            above = meijer_g_cdf(n_t, n_r, x * (1.0 + 1e-9))
-            assert abs(below - above) / above < 1e-7
+        # both series are accurate at the handover: the float below the
+        # switch takes the ascending series, the switch itself 1 - S(x).
+        # Measured worst: 1.7e-12 (8x8 below, x = 8.19), 1.4e-12 (8x7 at)
+        for n_t in range(1, 9):
+            for n_r in range(1, n_t + 1):
+                switch = specfun._shape_table(n_t, n_r).switch
+                for x in (math.nextafter(switch, 0.0), switch):
+                    got = meijer_g_log_cdf(n_t, n_r, x)
+                    want = gain_log_cdf_oracle(n_t, n_r, x)
+                    assert abs(math.expm1(got - want)) < 3e-12, (n_t, n_r, x)
+
+    # Measured gaps of the CDF, for the third, positive branch to close
+    # (relative error in F against the oracle; the target is 1e-12).
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ascending series cancels: 2.4e-7 at 16x16")
+    def test_below_switch_16x16_within_target(self):
+        # the float just below the 16x16 switch; the same spot at 12x9
+        # reads 8.3e-10
+        x = 33.67595731005808
+        got = meijer_g_log_cdf(16, 16, x)
+        want = gain_log_cdf_oracle(16, 16, x)
+        assert abs(math.expm1(got - want)) < 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="returns ln F = -10.47, oracle -58.36")
+    def test_64x64_at_448_within_target(self):
+        got = meijer_g_log_cdf(64, 64, 448.0)
+        want = gain_log_cdf_oracle(64, 64, 448.0)
+        assert abs(math.expm1(got - want)) < 1e-12
 
     def test_log_linear_consistency(self):
         for n_t, n_r, x in ((1, 1, 0.5), (2, 3, 2.0), (4, 4, 0.01), (3, 1, 1e-5)):
@@ -401,19 +426,51 @@ def _one_point_log_cdf(n_t, n_r, x):
         return math.nan
 
 
-def _switch_neighbours(n_t, n_r, lo, hi):
-    """The two adjacent floats in [lo, hi] where ``_use_ascending`` flips;
-    it must differ at lo and hi."""
-    big, small = max(n_t, n_r), min(n_t, n_r)
-    side = specfun._use_ascending(big, small, lo)
-    assert specfun._use_ascending(big, small, hi) != side
-    while math.nextafter(lo, hi) != hi:
-        mid = 0.5 * (lo + hi)
-        if specfun._use_ascending(big, small, mid) == side:
-            lo = mid
-        else:
-            hi = mid
-    return [lo, hi]
+def _switch_neighbours(n_t, n_r):
+    """The shape's switch and the float below it: the two adjacent floats
+    where the ascending series hands over to 1 - S(x)."""
+    switch = specfun._shape_table(max(n_t, n_r), min(n_t, n_r)).switch
+    return [math.nextafter(switch, 0.0), switch]
+
+
+class TestSwitch:
+    # The per-shape switch makes the choice the point-by-point test made
+    # (``_reference.use_ascending``) at every x.
+
+    @staticmethod
+    def _assert_parent_choice(big, small):
+        switch = specfun._shape_table(big, small).switch
+        xs = [math.nextafter(switch, 0.0), switch,
+              math.nextafter(switch, math.inf),
+              math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0)]
+        xs += [10.0 ** (0.05 * i) for i in range(-160, 121)]
+        for x in xs:
+            assert (x < switch) == use_ascending(big, small, x), \
+                (big, small, x)
+        # the switch is where the old test flips, to the float
+        assert use_ascending(big, small, math.nextafter(switch, 0.0))
+        assert not use_ascending(big, small, switch)
+
+    @pytest.mark.parametrize("big", range(1, 33))
+    def test_shapes_to_32(self, big):
+        for small in range(1, big + 1):
+            self._assert_parent_choice(big, small)
+
+    @pytest.mark.parametrize("n_t,n_r", [(64, 64), (200, 200), (3, 40),
+                                         (171, 1)])
+    def test_large_shapes(self, n_t, n_r):
+        self._assert_parent_choice(max(n_t, n_r), min(n_t, n_r))
+
+    def test_no_switch_past_lgamma_reach(self):
+        # tau >= 172: the shape has no table, so every x > 0 is refused on
+        # both paths
+        xs = [1e-6, 1e-4, 1.0, 40.0]
+        for x in xs:
+            with pytest.raises(DomainError):
+                meijer_g_log_cdf(173, 1, x)
+        x = np.array(xs)
+        got = _array_path._log_cdf_many(173, 1, x, _log_many(x))
+        assert np.isnan(got).all()
 
 
 def _mixed_bessel_args():
@@ -469,18 +526,12 @@ class TestArrayLogCdf:
     def test_lopsided_shape(self, n_t, n_r):
         self._assert_matches(n_t, n_r, self.GRID)
 
-    def test_ascending_x_neighbours(self):
-        x = specfun._ASCENDING_X
-        xs = [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
-        for n_t, n_r in itertools.product(range(1, 21), repeat=2):
-            self._assert_matches(n_t, n_r, xs)
-
     @pytest.mark.parametrize("n_t,n_r", [
         (1, 1), (2, 1), (2, 2), (5, 3), (9, 16), (12, 12), (16, 16), (20, 7),
     ])
     def test_branch_switch_neighbours(self, n_t, n_r):
         # the two floats on either side of the ascending/survival switch
-        xs = _switch_neighbours(n_t, n_r, 1e-4, 60.0)
+        xs = _switch_neighbours(n_t, n_r)
         self._assert_matches(n_t, n_r, xs)
 
     @pytest.mark.parametrize("n,lo,hi", [(48, 309.0, 390.0),
@@ -489,8 +540,9 @@ class TestArrayLogCdf:
         # where 1 - S rounds past 0, the survival branch hands the point to
         # the ascending series
         xs = [lo + (hi - lo) * i / 40 for i in range(41)]
-        took = [x for x in xs if not specfun._use_ascending(n, n, x)
-                and specfun._survival(n, n, x) >= 1.0]
+        switch = specfun._shape_table(n, n).switch
+        took = [x for x in xs
+                if x >= switch and specfun._survival(n, n, x) >= 1.0]
         assert len(took) >= 3
         self._assert_matches(n, n, xs)
 

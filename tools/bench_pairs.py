@@ -18,12 +18,13 @@ for the curve layer (``outage_curve`` and the one-point loop at 1 to 281
 points, and their ratio; a lower ratio is better).
 
 The output JSON records, for each workload, seed and end-to-end metric of
-``BENCHMARK.json``, and under ``layers`` for each of those rows: every
-run's value on both sides, their medians and interquartile ranges
-(inclusive quartiles), each pair's ratio, the median ratio, and how many
-pairs each side won. A ratio above 1 means the change is better:
-change/parent for a metric where higher is better, parent/change where
-lower is. Failed operations are recorded per run as well.
+``BENCHMARK.json``, and under ``layers`` for each of those rows: both
+sides' medians and interquartile ranges (inclusive quartiles), each pair's
+ratio, the median ratio, and how many pairs each side won. A ratio above 1
+means the change is better: change/parent for a metric where higher is
+better, parent/change where lower is. Failed operations are recorded per
+run as well. Every run's own values go to ``.perfbench_out/<out
+stem>.runs.json``, which git ignores, so the committed record stays small.
 """
 
 from __future__ import annotations
@@ -101,8 +102,23 @@ def _quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def _g(v: float) -> float:
+    """v to 4 significant digits, finer than any spread the pairs show."""
+    return float(f"{v:.4g}")
+
+
+def _dump(obj, depth: int = 0) -> str:
+    """obj as JSON, indented down to the metric entries, each on one line."""
+    if not isinstance(obj, dict) or "unit" in obj:
+        return json.dumps(obj)
+    pad = "\n" + " " * (depth + 1)
+    return ("{" + ",".join(f"{pad}{json.dumps(k)}: {_dump(v, depth + 1)}"
+                           for k, v in obj.items())
+            + "\n" + " " * depth + "}")
+
+
 def summarize(runs: dict, metrics: list) -> dict:
-    """Per metric: the runs, medians, IQRs, pair ratios and wins."""
+    """Per metric: the medians, IQRs, pair ratios and wins."""
     out = {}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
@@ -114,9 +130,10 @@ def summarize(runs: dict, metrics: list) -> dict:
         entry = {"unit": m["unit"], "better": m["better"]}
         for side, vals in sides.items():
             q1, q2, q3 = _quartiles(vals)
-            entry[side] = {"runs": vals, "median": q2, "iqr": q3 - q1}
-        entry["pair_ratios"] = ratios
-        entry["median_ratio"] = statistics.median(known) if known else None
+            entry[side] = {"median": _g(q2), "iqr": _g(q3 - q1)}
+        entry["pair_ratios"] = [r if r is None else _g(r) for r in ratios]
+        entry["median_ratio"] = (_g(statistics.median(known)) if known
+                                 else None)
         entry["pairs_won"] = {"change": sum(r > 1.0 for r in known),
                               "parent": sum(r < 1.0 for r in known)}
         out[name] = entry
@@ -142,6 +159,9 @@ def main(argv=None) -> int:
     parent_root.mkdir(parents=True)
     sha = extract(args.parent, parent_root)
     roots = {"parent": parent_root, "change": ROOT}
+    raw_out = ROOT / ".perfbench_out" / f"{args.out.stem}.runs.json"
+    raw_out.parent.mkdir(exist_ok=True)
+    raw = {}
     doc = {
         "parent": {"ref": args.parent, "commit": sha},
         "change": {"commit": _git("rev-parse", "HEAD").decode().strip(),
@@ -153,6 +173,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "ratio": "above 1 means the change is better (change/parent where "
                  "higher is better, parent/change where lower is)",
+        "runs": str(raw_out.relative_to(ROOT)),
         "results": {},
     }
     for workload in args.workloads:
@@ -175,7 +196,10 @@ def main(argv=None) -> int:
             result["layers"] = summarize(layers,
                                          layer_metrics(layers["parent"][0]))
             doc["results"].setdefault(workload, {})[str(seed)] = result
-            args.out.write_text(json.dumps(doc, indent=2) + "\n")
+            args.out.write_text(_dump(doc) + "\n")
+            raw.setdefault(workload, {})[str(seed)] = {"runs": runs,
+                                                       "layers": layers}
+            raw_out.write_text(json.dumps(raw) + "\n")
     return 0
 
 
