@@ -221,7 +221,6 @@ class _ShapeTable(NamedTuple):
 
     lg_t: float          # lgamma(n_t)
     lg_r: float          # lgamma(n_r)
-    lg_tau: float        # lgamma(tau), tau > 0 only
     sgn: float           # (-1)^tau
     head: tuple          # (tau-k-1)! / (k! (m+k)), k < tau
     fact: tuple          # 1 / (k! (tau+k)!), k < _ASCENDING_TERMS
@@ -251,7 +250,6 @@ def _shape_table(n_t: int, n_r: int) -> _ShapeTable:
     return _ShapeTable(
         lg_t=math.lgamma(n_t),
         lg_r=math.lgamma(n_r),
-        lg_tau=math.lgamma(tau) if tau else math.nan,
         sgn=1.0 if tau % 2 == 0 else -1.0,
         head=head,
         fact=tuple(facts),
