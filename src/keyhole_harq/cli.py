@@ -9,11 +9,11 @@ until it becomes CSV lines: sweep-snr and sweep-rate pass the axis to one
 eager ``outage_curve`` call as a rate column or one SNR column shared by
 every round, ``CurveResult`` carries the seven CSV columns, and rows exist
 only as the CSV lines (and as ``CurveResult.points`` for the JSON mirror).
-A ``SystemConfig`` is built per point only for the simulated columns. Each
-CSV line is one %-template chosen by the curve's blank cells, the same
-bytes as formatting cell by cell. The argument parser is built once per
-process and reused by every ``main`` call. Exit codes: 0 success, 2 usage
-or validation error, including an --out path that cannot be written.
+The simulated columns count every point on one draw of the trials, with a
+``SystemConfig`` per point. Each CSV line is one %-template chosen by the
+curve's blank cells, the same bytes as formatting cell by cell. The parser
+is built once per process and reused by every ``main`` call. Exit codes: 0
+success, 2 usage or validation error (an unwritable --out path too).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .analysis import (
 from .errors import DomainError
 from .keyhole import SystemConfig, db_to_linear
 from .montecarlo import (
+    _simulate,
     _usable_cores,
     empirical_diversity_slope,
     simulate_outage,
@@ -175,20 +176,13 @@ def _config_metadata(config: SystemConfig) -> dict:
     }
 
 
-def _sim_columns(config: SystemConfig, trials: int, seed: int, lanes: int):
-    r = simulate_outage(config, trials, seed=seed, lanes=lanes)
-    lo = max(r.estimate - r.ci_halfwidth, 0.0)
-    hi = min(r.estimate + r.ci_halfwidth, 1.0)
-    return r.estimate, lo, hi
-
-
 def _curve_columns(args, axis: list, rate, snrs: tuple) -> tuple:
     """The CSV columns of a curve over ``axis``, whose rate and per-round
     SNRs ``snrs`` are each a float or a column of one value per point.
 
     The analytic columns come from one eager ``outage_curve`` evaluation
-    of the columns; a ``SystemConfig`` is built only for the simulated
-    columns.
+    of the columns, the simulated ones from one simulation of every point
+    on shared trials; a ``SystemConfig`` is built only for the latter.
     """
     log_exact, log_asy = outage_curve(args.nt, args.nr, args.k, rate, snrs)
     exact = list(map(math.exp, log_exact))
@@ -198,8 +192,11 @@ def _curve_columns(args, axis: list, rate, snrs: tuple) -> tuple:
     sim = lo = hi = (None,) * n
     if args.trials > 0:
         sim, lo, hi = zip(*(
-            _sim_columns(config, args.trials, args.seed, args.lanes)
-            for config in _configs(args.nt, args.nr, args.k, rate, snrs, n)))
+            (r.estimate, max(r.estimate - r.ci_halfwidth, 0.0),
+             min(r.estimate + r.ci_halfwidth, 1.0))
+            for r in _simulate(list(_configs(args.nt, args.nr, args.k, rate,
+                                             snrs, n)),
+                               args.trials, args.seed, args.lanes)))
     return axis, exact, asy, sim, lo, hi, log10
 
 
@@ -225,11 +222,13 @@ def _emit_report(args, doc: dict, text: str) -> int:
     return 0
 
 
-def _run_metadata(args) -> dict:
-    """The run flags of a curve command; seed and lanes are null when no
-    column is simulated, so they cannot vary the mirror's bytes."""
-    sim = args.trials > 0
-    return {"trials": args.trials, "seed": args.seed if sim else None,
+def _run_metadata(args, sim: bool) -> dict:
+    """The run flags, null where ``sim`` is false and they cannot vary a
+    value, so a report's bytes do not depend on the machine's core count.
+    A curve's trials is always written: 0 turns its simulation off."""
+    curve = args.command != "diversity"
+    return {"trials": args.trials if sim or curve else None,
+            "seed": args.seed if sim else None,
             "lanes": args.lanes if sim else None}
 
 
@@ -245,7 +244,7 @@ def _sweep(args, axis_name: str, axis: list, rate, snrs: tuple,
         "command": args.command,
         "n_t": args.nt, "n_r": args.nr, "k_rounds": args.k,
         **axis_meta,
-        **_run_metadata(args),
+        **_run_metadata(args, args.trials > 0),
     }
     return _emit_curve(args, curve, meta)
 
@@ -295,7 +294,6 @@ def _cmd_diversity(args) -> int:
         seed=args.seed, lanes=args.lanes,
     )
     gap = abs(fitted - d) / d
-    sim = args.method == "simulation"
     doc = {
         "analytic_diversity_order": d,
         "fitted_slope": fitted,
@@ -304,11 +302,7 @@ def _cmd_diversity(args) -> int:
             "command": "diversity", "method": args.method,
             "n_t": args.nt, "n_r": args.nr, "k_rounds": args.k,
             "rate": args.rate, "snr_db": args.snr_db,
-            # null where they cannot vary a value, so an exact report's
-            # bytes do not depend on the machine's core count
-            "trials": args.trials if sim else None,
-            "seed": args.seed if sim else None,
-            "lanes": args.lanes if sim else None,
+            **_run_metadata(args, args.method == "simulation"),
             "tool_version": __version__,
         },
     }

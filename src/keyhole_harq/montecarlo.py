@@ -9,6 +9,11 @@ threads, and any batching within a thread, reproduces the same draws.
 ``lanes`` sets the worker threads, at most the usable cores; each takes one
 contiguous range of the trials.
 
+The points of a simulated curve share (n_t, n_r, K, trials, seed), so
+``_simulate`` draws each batch once and counts it against every point's
+thresholds; ``simulate_outage`` is its one-point case. A count is a sum over
+trials, so each point's equals the count that point gets alone.
+
 Philox's ``advance`` unit is one 128-bit counter tick = 4 doubles, so the
 per-trial draw budget is padded up to a multiple of 4 and trial i starts at
 counter offset i * pad / 4.
@@ -147,26 +152,29 @@ def _sum(cols: list) -> np.ndarray:
 
 
 def _count_failures(
-    config: SystemConfig,
-    thresholds: tuple,
+    n_t: int,
+    n_r: int,
+    rows: Sequence[tuple],
     first_trial: int,
     count: int,
     seed: int,
-) -> int:
+) -> list:
+    """Failures among trials [first_trial, first_trial + count), one count
+    per row of per-round thresholds; each batch is drawn once for all rows."""
     import numpy as np
 
-    fails = 0
+    fails = [0] * len(rows)
     done = 0
     while done < count:
         c = min(_BATCH, count - done)
-        g = sample_round_gains(
-            config.n_t, config.n_r, config.k_rounds, c, seed, first_trial + done
-        )
-        # column by column, the same strict test as np.all(g < t, axis=1)
-        out = g[:, 0] < thresholds[0]
-        for k in range(1, len(thresholds)):
-            out &= g[:, k] < thresholds[k]
-        fails += int(np.count_nonzero(out))
+        g = sample_round_gains(n_t, n_r, len(rows[0]), c, seed,
+                               first_trial + done)
+        for i, thresholds in enumerate(rows):
+            # column by column, the same strict test as np.all(g < t, axis=1)
+            out = g[:, 0] < thresholds[0]
+            for k in range(1, len(thresholds)):
+                out &= g[:, k] < thresholds[k]
+            fails[i] += int(np.count_nonzero(out))
         done += c
     return fails
 
@@ -197,6 +205,13 @@ def simulate_outage(
     trials and at the usable cores. Each thread counts one contiguous range
     of the trials.
     """
+    return _simulate([config], trials, seed, lanes)[0]
+
+
+def _simulate(configs: Sequence[SystemConfig], trials: int, seed: int,
+              lanes: int) -> list:
+    """``simulate_outage`` at each of ``configs`` (one n_t, n_r and K), on
+    one draw of the trials, made after every point's thresholds."""
     trials = _check_trials(trials)
     seed = operator.index(seed)
     if seed < 0:
@@ -205,28 +220,22 @@ def simulate_outage(
     if lanes < 1:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
     lanes = min(lanes, trials, _usable_cores())
-    thresholds = tuple(
-        outage_threshold(config, k) for k in range(1, config.k_rounds + 1)
-    )
+    rows = [tuple(outage_threshold(c, k) for k in range(1, c.k_rounds + 1))
+            for c in configs]
+    n_t, n_r = configs[0].n_t, configs[0].n_r
     bounds = [trials * i // lanes for i in range(lanes + 1)]
     with ThreadPoolExecutor(max_workers=lanes) as pool:
-        failures = sum(
-            pool.map(
-                lambda r: _count_failures(config, thresholds, r[0],
-                                          r[1] - r[0], seed),
-                zip(bounds, bounds[1:]),
-            )
-        )
-    p = failures / trials
-    ci = 3.0 * math.sqrt(p * (1.0 - p) / trials)
-    return SimulationResult(
-        trials=trials,
-        failures=failures,
-        estimate=p,
-        ci_halfwidth=ci,
-        seed=seed,
-        low_confidence=failures < _MIN_FAILURES,
-    )
+        counts = [sum(c) for c in zip(*pool.map(
+            lambda r: _count_failures(n_t, n_r, rows, r[0], r[1] - r[0], seed),
+            zip(bounds, bounds[1:])))]
+    results = []
+    for failures in counts:
+        p = failures / trials
+        results.append(SimulationResult(
+            trials=trials, failures=failures, estimate=p,
+            ci_halfwidth=3.0 * math.sqrt(p * (1.0 - p) / trials), seed=seed,
+            low_confidence=failures < _MIN_FAILURES))
+    return results
 
 
 def empirical_diversity_slope(
@@ -241,7 +250,8 @@ def empirical_diversity_slope(
 
     At high SNR this estimates the diversity order. ``method`` selects the
     per-point probability: "exact" evaluates the grid as one
-    ``outage_curve``, "simulation" runs ``simulate_outage`` per grid point.
+    ``outage_curve``, "simulation" counts every grid point on one draw of
+    the trials, each count the one ``simulate_outage`` gives there.
     Simulation requires at least 100 expected failures at the top of the
     grid (where outage is rarest); otherwise the fit would be driven by
     counting noise and the call fails with the trial count that would fix
@@ -280,8 +290,7 @@ def empirical_diversity_slope(
                 required_trials=need,
             )
         logs = []
-        for c in configs:
-            r = simulate_outage(c, trials, seed=seed, lanes=lanes)
+        for r in _simulate(configs, trials, seed, lanes):
             if r.failures == 0:
                 raise SimulationInfeasibleError(
                     f"no failures observed at one grid point with {trials} trials",

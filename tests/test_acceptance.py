@@ -39,8 +39,12 @@ from _reference import package_pdf_integral, square_bracket
 SQRT2_OVER_14 = 0.10101525445522107491
 
 
-def report(criterion: int, ok: bool, detail: str) -> None:
+def report(criterion: int, ok: bool, detail: str, elapsed=None) -> None:
+    """The criterion line, then the wall time on a line of its own, so that
+    two runs on identical output print identical criterion lines."""
     print(f"criterion {criterion} {'PASS' if ok else 'FAIL'}: {detail}")
+    if elapsed is not None:
+        print(f"time for criterion {criterion}: {elapsed:.2f}s")
 
 
 def db(v: float) -> float:
@@ -75,8 +79,8 @@ def test_criterion_1_cdf_dual_path():
                     worst, worst_at = rel, (n_t, n_r, x)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed < 5.0
-    report(1, ok, f"worst rel {worst:.2e} at {worst_at}, {elapsed:.2f}s "
-                  f"(80 cells, tol 1e-9, budget 5s)")
+    report(1, ok, f"worst rel {worst:.2e} at {worst_at} "
+                  f"(80 cells, tol 1e-9, budget 5s)", elapsed)
     assert worst < 1e-9
     assert elapsed < 5.0
 
@@ -98,7 +102,7 @@ def test_criterion_2_simulation_agreement():
         )
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
-    report(2, ok, "; ".join(details) + f"; {elapsed:.1f}s (budget 60s)")
+    report(2, ok, "; ".join(details) + " (budget 60s)", elapsed)
     assert ok
 
 
@@ -158,7 +162,7 @@ def test_criterion_4_diversity_slope():
            f"{'ok' if ok_a else 'OUT'}; "
            f"(2,2,K=3)@120-130dB slope {slope_b:.4f} "
            f"(predicted {predicted_b:.4f}) vs [5.8,6.2] "
-           f"{'ok' if ok_b else 'OUT'}; {elapsed:.2f}s")
+           f"{'ok' if ok_b else 'OUT'}", elapsed)
     assert ok
 
 

@@ -383,6 +383,56 @@ class TestDiversityMetadata:
         assert (meta["trials"], meta["seed"], meta["lanes"]) == (2000, 3, 2)
 
 
+class TestOneDrawPerCurve:
+    """Every point of a simulated curve counts the same batches, drawn once
+    in one thread pool."""
+
+    TRIALS = 2 * montecarlo._BATCH + 5
+
+    def _spy(self, monkeypatch, argv) -> tuple:
+        draws, pools = [], []
+        draw = montecarlo.sample_round_gains
+        pool = montecarlo.ThreadPoolExecutor
+
+        def spy_draw(*args):
+            draws.append(args[3])
+            return draw(*args)
+
+        def spy_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_round_gains", spy_draw)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", spy_pool)
+        rc = main(argv + ["--trials", str(self.TRIALS), "--lanes", "1"])
+        return rc, draws, pools
+
+    def test_sweep_rate(self, monkeypatch, capsys):
+        rc, draws, pools = self._spy(monkeypatch, [
+            "sweep-rate", "--nt", "2", "--nr", "3", "--k", "3",
+            "--rate", "1:0.5:4.5", "--gamma-db", "1,6,11"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 8
+        assert len(draws) == -(-self.TRIALS // montecarlo._BATCH) == 3
+        assert sum(draws) == self.TRIALS
+        assert pools == [1]
+
+    def test_diversity(self, monkeypatch, capsys):
+        rc, draws, pools = self._spy(monkeypatch, [
+            "diversity", "--nt", "2", "--nr", "2", "--k", "1", "--rate", "1",
+            "--snr-db", "0:2:6", "--method", "simulation"])
+        assert rc == 0
+        assert len(draws) == 3 and sum(draws) == self.TRIALS
+        assert pools == [1]
+
+    def test_infeasible_diversity_draws_nothing(self, monkeypatch, capsys):
+        rc, draws, pools = self._spy(monkeypatch, [
+            "diversity", "--method", "simulation"])
+        assert rc == 2
+        assert "failures" in capsys.readouterr().err
+        assert draws == [] and pools == []
+
+
 class TestSimulate:
     def test_deterministic_json(self, capsys):
         argv = [

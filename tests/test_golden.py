@@ -76,6 +76,36 @@ def test_simulated_columns(tmp_path, lanes):
                       f"sweep-snr --trials 2000 --lanes {lanes}")
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_simulated_rate_columns(tmp_path, lanes):
+    # a simulated curve whose rounds have distinct SNRs, so every point
+    # counts against K distinct thresholds
+    out = tmp_path / "sim.csv"
+    assert main(["sweep-rate", "--nt", "2", "--nr", "3", "--k", "3",
+                 "--gamma-db", "1,6,11", "--trials", "3000", "--seed", "9",
+                 "--lanes", str(lanes), "--out", str(out)]) == 0
+    assert_same_bytes(out.read_bytes(),
+                      (DATA / "sweep_rate_2x3_k3_sim.csv").read_bytes(),
+                      f"sweep-rate --trials 3000 --lanes {lanes}")
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_diversity_simulation_json(tmp_path, lanes):
+    # the golden was written at one lane; the metadata records the lanes,
+    # and every other byte must not depend on them
+    out = tmp_path / "diversity.json"
+    assert main(["diversity", "--nt", "2", "--nr", "2", "--k", "1",
+                 "--rate", "1", "--snr-db", "0:2:6", "--method",
+                 "simulation", "--trials", "20000", "--seed", "4", "--json",
+                 "--lanes", str(lanes), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["metadata"]["lanes"] == lanes
+    doc["metadata"]["lanes"] = 1
+    assert_same_bytes((json.dumps(doc, indent=2) + "\n").encode(),
+                      (DATA / "diversity_sim_2x2_k1.json").read_bytes(),
+                      f"diversity --method simulation --lanes {lanes}")
+
+
 def test_json_mirror(tmp_path):
     # the 0 dB point of this square array carries a null asymptote
     out = tmp_path / "curve.csv"

@@ -2,6 +2,7 @@
 reproducibility across seeds and lane partitions, and feasibility guards."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.random import Generator, Philox
 
 from keyhole_harq import montecarlo
 from keyhole_harq.analysis import exact_outage, outage_threshold
-from keyhole_harq.errors import SimulationInfeasibleError
+from keyhole_harq.errors import DomainError, SimulationInfeasibleError
 from keyhole_harq.keyhole import SystemConfig
 from keyhole_harq.montecarlo import (
     empirical_diversity_slope,
@@ -84,13 +85,11 @@ class TestCountFailures:
 
     def _check(self, n_t, n_r, thresholds, trials, first=0, seed=6):
         thresholds = np.array(thresholds, dtype=float)
-        k = len(thresholds)
-        config = SystemConfig.equal_snr(n_t, n_r, k, 1.0, 1.0)
-        g = sample_round_gains(n_t, n_r, k, trials, seed, first)
+        g = sample_round_gains(n_t, n_r, len(thresholds), trials, seed, first)
         want = int(np.count_nonzero(np.all(g < thresholds, axis=1)))
-        got = montecarlo._count_failures(config, thresholds, first, trials,
-                                         seed)
-        assert got == want
+        got = montecarlo._count_failures(n_t, n_r, [thresholds], first,
+                                         trials, seed)
+        assert got == [want]
         return want
 
     def test_threshold_equal_to_a_drawn_gain(self):
@@ -117,6 +116,51 @@ class TestCountFailures:
         thr = [1.0, 6.0, 2.5, 4.0][:k]
         n = self._check(2, 2, thr, 3 * montecarlo._BATCH + 11, first=7)
         assert n > 0
+
+
+    def test_every_row_on_one_draw(self):
+        # one count per row, each the count of that row alone
+        rows = [(1.0, 6.0, 2.5), (0.0, 1.0, 1.0), (np.inf,) * 3,
+                (6.0, 2.5, 1.0)]
+        trials = 2 * montecarlo._BATCH + 9
+        got = montecarlo._count_failures(2, 2, rows, 3, trials, 6)
+        assert got == [self._check(2, 2, row, trials, first=3) for row in rows]
+        assert got[1] == 0 and got[2] == trials
+
+
+class TestSimulateCurve:
+    """``_simulate``: every point of a curve counted on shared trials."""
+
+    @staticmethod
+    def _configs():
+        # distinct per-round SNRs at every point, and a rate-0 point whose
+        # zero thresholds never fail
+        return [SystemConfig(2, 3, 3, rate, (1.5 * j, 4.0 + j, 9.0 / j))
+                for j, rate in enumerate([3.0, 0.0, 2.5, 4.0, 3.5], 1)]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 5, 100_000])
+    def test_equals_each_point_alone(self, lanes):
+        trials = 2 * montecarlo._BATCH + 17
+        configs = self._configs()
+        got = montecarlo._simulate(configs, trials, 11, lanes)
+        want = [simulate_outage(c, trials, seed=11, lanes=1) for c in configs]
+        assert got == want
+        assert got[1].failures == 0
+        assert len({r.failures for r in got}) == len(got)
+
+    def test_first_failing_point_raises_before_any_draw(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(montecarlo, "sample_round_gains",
+                            lambda *a: calls.append(a))
+        configs = self._configs()
+        configs[2] = replace(configs[2], rate=1023.9)
+        configs[4] = replace(configs[4], snr_per_round=(1e-300,) * 3)
+        with pytest.raises(DomainError) as got:
+            montecarlo._simulate(configs, 1000, 1, 1)
+        assert "rate 1023.9" in str(got.value)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            montecarlo._simulate(configs, 1000, -1, 1)
+        assert calls == []
 
 
 class TestSimulateOutage:

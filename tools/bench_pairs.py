@@ -1,14 +1,18 @@
-"""Before/after benchmark: a parent commit against this checkout, in pairs.
+"""Before/after benchmark: a parent commit against HEAD, in pairs.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workloads snr_curves \
         mc_long --seeds 1 2 --pairs 5 --seconds 50 --out BENCH.json
 
-The parent's committed files are extracted with ``git archive`` into a
+The committed files of both sides, the parent and HEAD, are extracted with
+``git archive`` into sibling directories ``parent/`` and ``change/`` of a
 scratch directory (``--workdir``, a new temporary directory by default), so
-the repository's own worktrees and index are left alone. For every workload
-and seed, ``perfbench/run.py`` then runs from each side's own checkout, one
-side after the other, ``--pairs`` times; the side that goes first alternates
-from pair to pair, so a drift of the machine's speed hits both sides alike.
+the two sides differ only in their code, not in where or how they were
+written, and the repository's own worktrees and index are left alone. A
+checkout with uncommitted changes to tracked files is refused: HEAD would
+not be what it runs. For every workload and seed, ``perfbench/run.py`` then
+runs from each side's directory, one side after the other, ``--pairs``
+times; the side that goes first alternates from pair to pair, so a drift of
+the machine's speed hits both sides alike.
 
 After each ``perfbench/run.py`` run, ``perfbench/crosscheck.py`` runs once
 from the same checkout, for its per-call timings of the layers (the kernel,
@@ -149,24 +153,26 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--workdir", type=Path, default=None,
-                    help="scratch directory for the parent's files")
+                    help="scratch directory for both sides' files")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
+    if _git("status", "--porcelain", "--untracked-files=no").strip():
+        ap.error("the checkout has uncommitted changes to tracked files; "
+                 "commit them first, the change side is HEAD")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent_root = workdir / "parent"
-    parent_root.mkdir(parents=True)
-    sha = extract(args.parent, parent_root)
-    roots = {"parent": parent_root, "change": ROOT}
+    roots, shas = {}, {}
+    for side, ref in (("parent", args.parent), ("change", "HEAD")):
+        roots[side] = workdir / side
+        roots[side].mkdir(parents=True)
+        shas[side] = extract(ref, roots[side])
     raw_out = ROOT / ".perfbench_out" / f"{args.out.stem}.runs.json"
     raw_out.parent.mkdir(exist_ok=True)
     raw = {}
     doc = {
-        "parent": {"ref": args.parent, "commit": sha},
-        "change": {"commit": _git("rev-parse", "HEAD").decode().strip(),
-                   "dirty": bool(_git("status", "--porcelain",
-                                      "--untracked-files=no").strip())},
+        "parent": {"ref": args.parent, "commit": shas["parent"]},
+        "change": {"ref": "HEAD", "commit": shas["change"]},
         "command": f"perfbench/run.py --seconds {args.seconds:g}, then "
                    "perfbench/crosscheck.py and tools/curve_timing.py",
         "pairs": args.pairs,
