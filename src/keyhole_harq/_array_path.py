@@ -18,11 +18,10 @@ goes through ``math`` one element at a time (``_each``), because numpy's
 vectorised ones may differ in the last bit. No series sum uses a numpy
 reduction: a term loop adds one term per step to every live point, under a
 mask, and a point stops being live at the very term where the one-point
-loop stops. Every K_0/K_1 comes from ``specfun._k01_scaled``, mapped over
-the survival points, and the higher orders of all points come from the
-same ``specfun._upward`` recurrence. A point takes the series the one-point
-path takes: the ascending one below the shape's ``_shape_table`` switch,
-1 - S(x) from it on.
+loop stops. Only the ascending series runs on arrays, for the points below
+the shape's ``_shape_table`` switch; every point from the switch on maps
+the one-point ``specfun._log_cdf``, so 1 - S(x), its fallback and its
+float64-reach decision exist once.
 
 The array path only computes, and it computes every point: an invalid input
 gets a nan threshold prefix, so its exact log is nan, as is the exact log
@@ -48,7 +47,7 @@ from .analysis import (
     _term,
     exact_outage,
 )
-from .specfun import _k01_scaled, _shape_table, _upward
+from .specfun import _log_cdf, _shape_table
 
 
 def _each(fn, a):
@@ -72,22 +71,6 @@ def _or(fn, v: float) -> float:
         return fn(v)
     except (OverflowError, ValueError):
         return math.nan
-
-
-def _survival_many(n_t: int, n_r: int, x, logx):
-    """``specfun._survival`` at each element of the array x; nan where it
-    raises."""
-    tab = _shape_table(n_t, n_r)
-    r = 2.0 * np.sqrt(x)
-    k0, k1 = map(np.array, zip(*map(_k01_scaled, r.tolist())))
-    ks = list(itertools.islice(_upward(k0, k1, r), n_t + 1))
-    half, lg_fact = np.array(tab.surv).T[:, :, None]
-    # every exp of the series in one pass: the n_r terms, then the prefactor
-    e = _each(math.exp, np.vstack([half * logx - lg_fact, -r - tab.lg_t]))
-    acc = 0.0
-    for m in range(n_r):
-        acc = acc + e[m] * ks[n_t - m]
-    return 2.0 * e[n_r] * acc
 
 
 def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
@@ -134,29 +117,17 @@ def _log_cdf_many(n_t: int, n_r: int, x, logx):
     """
     big, small = (n_r, n_t) if n_r > n_t else (n_t, n_r)
     out = np.full(x.shape, -math.inf)
-    pos = np.flatnonzero(x > 0.0)
+    pos = x > 0.0
     try:
         switch = _shape_table(big, small).switch
-    except OverflowError:  # exp(lgamma(tau)) overflows: no series applies
-        out[pos] = math.nan
-        return out
+    except OverflowError:  # no series applies: _log_cdf gives nan at each x
+        switch = 0.0
     with np.errstate(all="ignore"):
-        xp = x[pos]
-        logx = logx[pos]
-        asc = xp < switch
-        surv = np.flatnonzero(~asc)
-        if surv.size:
-            s = _survival_many(big, small, xp[surv], logx[surv])
-            # roundoff can push S marginally past 1 when F is at the
-            # switch edge
-            fallback = s >= 1.0
-            asc[surv[fallback]] = True
-            keep = ~fallback
-            out[pos[surv[keep]]] = _each(math.log1p, -s[keep])
-        sel = np.flatnonzero(asc)
-        if sel.size:
-            out[pos[sel]] = _cdf_ascending_many(big, small, xp[sel],
-                                                logx[sel])
+        asc = np.flatnonzero(pos & (x < switch))
+        if asc.size:
+            out[asc] = _cdf_ascending_many(big, small, x[asc], logx[asc])
+        surv = np.flatnonzero(pos & (x >= switch))
+        out[surv] = _each(functools.partial(_log_cdf, big, small), x[surv])
     return out
 
 

@@ -200,10 +200,14 @@ def _curve_columns(args, axis: list, rate, snrs: tuple) -> tuple:
     return axis, exact, asy, sim, lo, hi, log10
 
 
-def _emit_curve(args, curve: CurveResult, metadata: dict) -> int:
+def _check_mirror(args) -> None:
+    """A curve's JSON mirror goes beside its --out file; refuse --json
+    without one before any point is evaluated or simulated."""
     if args.json and args.out is None:
-        print("--json needs --out to place the mirror", file=sys.stderr)
-        return 2
+        raise ValueError("--json needs --out to place the mirror")
+
+
+def _emit_curve(args, curve: CurveResult, metadata: dict) -> int:
     write_curve_csv(args.out, curve)
     if args.json:
         write_curve_json(Path(args.out).with_suffix(".json"), curve, metadata)
@@ -250,6 +254,7 @@ def _sweep(args, axis_name: str, axis: list, rate, snrs: tuple,
 
 
 def _cmd_sweep_snr(args) -> int:
+    _check_mirror(args)
     axis = parse_range(args.snr_db)
     snr = []
     try:
@@ -264,6 +269,7 @@ def _cmd_sweep_snr(args) -> int:
 
 
 def _cmd_sweep_rate(args) -> int:
+    _check_mirror(args)
     axis = parse_range(args.rate)
     return _sweep(args, "rate", axis, axis,
                   parse_gamma_db(args.gamma_db, args.k),
@@ -271,6 +277,7 @@ def _cmd_sweep_rate(args) -> int:
 
 
 def _cmd_coding_gain(args) -> int:
+    _check_mirror(args)
     axis = parse_range(args.rate)
     gains = [coding_gain(SystemConfig.equal_snr(args.nt, args.nr, 1, r, 1.0))
              for r in axis]

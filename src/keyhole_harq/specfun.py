@@ -9,9 +9,9 @@ The public functions are plain float64 arithmetic on the standard library's
   series (x <= 2) or Chebyshev fits of sqrt(x) e^x K_nu(x) (x > 2), both
   fits in one Clenshaw walk; higher orders use the upward recurrence, which
   is stable for this function.
-  ``bessel_k_scaled`` and the survival series share one walk of the
-  orders, so a survival CDF evaluates K_0 and K_1 once, at r = 2 sqrt(x),
-  and walks the recurrence once up to order n_t.
+  ``bessel_k_scaled`` and the survival series read their orders from one
+  list (``_orders``), so a survival CDF evaluates K_0 and K_1 once, at
+  r = 2 sqrt(x), and walks the recurrence once up to order n_t.
 * ``gain_pdf`` / ``meijer_g_cdf``: density and distribution function of the
   product of two unit-scale Erlang variables with integer shapes. The CDF is
   a Meijer-G function that reduces, for integer shapes, to a finite Bessel-K
@@ -24,18 +24,15 @@ The public functions are plain float64 arithmetic on the standard library's
   once per shape and kept in a bounded LRU table, so an evaluation at x does
   only the x-dependent arithmetic, in the same grouping as before. The
   table also holds the shape's switch: x below it takes the ascending
-  series, x at or above it 1 - S(x), on both the one-point and the array
-  path.
+  series, x at or above it 1 - S(x). That choice, the fallback where S
+  rounds to 1 or past it and the nan beyond float64 reach live in one
+  one-point function, ``_log_cdf``.
 
-This module imports no numpy. The array forms that evaluate a long curve
-(``_log_cdf_many`` and the ``*_many`` helpers it calls: both series over a
-float64 array of x) live in ``_array_path``, which
-``outage_curve`` loads only when a curve takes the array path. Each of
-their values is bitwise the one-point value here, and nan where the
-one-point call raises. They map ``_k01_scaled`` over the survival points
-and walk the higher orders of all points at once with the same ``_upward``
-recurrence, which takes floats or arrays. A one-element array call costs
-far more than a one-point call, so ``meijer_g_log_cdf`` stays scalar.
+This module imports no numpy. A long curve takes ``_array_path``, which
+``outage_curve`` loads only then: it runs the ascending series over a
+float64 array of x and maps ``_log_cdf`` over the survival points, each
+value bitwise the one-point value here. A one-element array call costs far
+more than a one-point call, so ``meijer_g_log_cdf`` stays scalar.
 
 The density is not integrated here: the tests check the CDF against an
 mpmath quadrature of ``gain_pdf``.
@@ -44,7 +41,6 @@ mpmath quadrature of ``gain_pdf``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from typing import NamedTuple
@@ -132,21 +128,18 @@ def _k01_scaled(x: float) -> tuple:
     return k0 * e, k1 * e
 
 
-def _upward(k0, k1, x):
-    """Yield k0, k1 = e^x K_0(x), e^x K_1(x), then e^x K_2(x), ...
+def _orders(x: float, n: int) -> list:
+    """[e^x K_0(x), ..., e^x K_n(x)] for x > 0 and n >= 0.
 
-    Every higher order comes from the upward recurrence
-    K_{n+1} = K_{n-1} + (2n/x) K_n: all terms positive, so no cancellation;
-    K is the dominant solution in this direction. x, k0 and k1 are floats
-    or arrays of one shape.
+    K_0 and K_1 come from ``_k01_scaled``, every higher order from the
+    upward recurrence K_{nu+1} = K_{nu-1} + (2 nu/x) K_nu: all terms
+    positive, so no cancellation; K is the dominant solution in this
+    direction.
     """
-    yield k0
-    km, kc = k0, k1
-    nu = 1
-    while True:
-        yield kc
-        km, kc = kc, km + (2.0 * nu / x) * kc
-        nu += 1
+    ks = list(_k01_scaled(x))
+    for nu in range(1, n):
+        ks.append(ks[nu - 1] + (2.0 * nu / x) * ks[nu])
+    return ks[:n + 1]
 
 
 def bessel_k_scaled(order, x: float) -> float:
@@ -164,7 +157,7 @@ def bessel_k_scaled(order, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"argument must be finite and > 0, got {x}")
-    return next(itertools.islice(_upward(*_k01_scaled(x), x), order, None))
+    return _orders(x, order)[order]
 
 
 def _validate_shapes(n_t, n_r) -> tuple:
@@ -269,7 +262,7 @@ def _survival(n_t: int, n_r: int, x: float) -> float:
     tab = _shape_table(n_t, n_r)
     r = 2.0 * math.sqrt(x)
     logx = math.log(x)
-    ks = list(itertools.islice(_upward(*_k01_scaled(r), r), n_t + 1))
+    ks = _orders(r, n_t)
     acc = 0.0
     for m, (half, lg_fact) in enumerate(tab.surv):
         acc += math.exp(half * logx - lg_fact) * ks[n_t - m]
@@ -374,25 +367,34 @@ def meijer_g_log_cdf(n_t, n_r, x: float) -> float:
     # the distribution is symmetric in the two shapes; fixing the order
     # makes that exact bitwise and keeps the survival sum short
     big, small = (n_r, n_t) if n_r > n_t else (n_t, n_r)
-    try:
-        if x < _shape_table(big, small).switch:
-            log_f = _cdf_ascending(big, small, x)
-        else:
-            s = _survival(big, small, x)
-            if s >= 1.0:
-                # roundoff can push S marginally past 1 when F is at the
-                # switch edge
-                log_f = _cdf_ascending(big, small, x)
-            else:
-                log_f = math.log1p(-s)
-    except (OverflowError, ValueError):
-        log_f = math.nan
+    log_f = _log_cdf(big, small, x)
     if math.isnan(log_f):
         raise DomainError(
             f"gain CDF for shapes ({n_t}, {n_r}) at x = {x!r} is beyond "
             "float64 reach of both the ascending and the survival series"
         )
     return log_f
+
+
+def _log_cdf(n_t: int, n_r: int, x: float) -> float:
+    """ln F(x) for checked shapes n_t >= n_r and x > 0; nan where neither
+    series can be evaluated in float64.
+
+    x below the shape's switch takes the ascending series, x from it on
+    1 - S(x). ``meijer_g_log_cdf`` calls this, and the array path maps it
+    over a curve's survival points.
+    """
+    try:
+        if x < _shape_table(n_t, n_r).switch:
+            return _cdf_ascending(n_t, n_r, x)
+        s = _survival(n_t, n_r, x)
+        if s >= 1.0:
+            # roundoff can push S marginally past 1 when F is at the
+            # switch edge
+            return _cdf_ascending(n_t, n_r, x)
+        return math.log1p(-s)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def meijer_g_cdf(n_t, n_r, x: float) -> float:

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -357,6 +358,48 @@ class TestOutputPath:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: cannot write {str(target)!r}")
         assert not target.parent.exists()
+
+    # a curve's --json without --out is refused before any point is
+    # evaluated or simulated, on one error line
+    @pytest.mark.parametrize("argv", [
+        ["sweep-snr", "--snr-db", "0:1:10", "--trials", "20000000"],
+        ["sweep-rate", "--rate", "1:1:3", "--trials", "20000000"],
+        ["coding-gain", "--rate", "1:1:3"],
+    ])
+    def test_json_without_out_refused_before_any_work(
+            self, monkeypatch, capsys, argv):
+        calls = []
+        for name in ("outage_curve", "_simulate", "coding_gain"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _name=name, **k: calls.append(_name))
+        assert main(argv + ["--json"]) == 2
+        out, err = capsys.readouterr()
+        assert calls == []
+        assert out == ""
+        assert err == "error: --json needs --out to place the mirror\n"
+
+
+def _readme_commands() -> list:
+    """The ``keyhole-harq`` lines of README's "Command line" sh block, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("## Command line"):]
+    block = section[section.index("```sh\n"):].split("```")[1]
+    return [line.strip() for line in block.replace("\\\n", " ").splitlines()
+            if line.strip().startswith("keyhole-harq ")]
+
+
+class TestReadmeCommands:
+    def test_every_subcommand_shown(self):
+        assert {line.split()[1] for line in _readme_commands()} == {
+            "sweep-snr", "sweep-rate", "coding-gain", "diversity", "simulate"}
+
+    # every command the README shows runs as written, in process
+    @pytest.mark.parametrize("line", _readme_commands(),
+                             ids=lambda line: line.split()[1])
+    def test_runs(self, tmp_path, monkeypatch, capsys, line):
+        monkeypatch.chdir(tmp_path)
+        assert main(shlex.split(line)[1:]) == 0
 
 
 class TestDiversityMetadata:

@@ -27,7 +27,7 @@ _MODULES = ["specfun.py", "analysis.py", "_array_path.py"]
 # Every numpy name these modules use: exact arithmetic, array building and
 # indexing, and predicates.
 _ALLOWED = frozenset("""
-    sqrt abs add subtract array zeros_like ones ones_like full
+    abs add subtract array zeros_like ones ones_like full
     flatnonzero fromiter vstack isfinite isnan errstate
 """.split())
 # Reductions, whose grouping is numpy's, not the one-point loop's. np.add

@@ -7,7 +7,6 @@ under test. The density checks integrate the package's own ``gain_pdf``
 with mpmath (``package_pdf_integral``).
 """
 
-import itertools
 import math
 import struct
 
@@ -100,9 +99,8 @@ class TestBesselK:
                                    2.5, 7.0, 30.0, 448.0])
     def test_one_recurrence_serves_every_order(self, x):
         # the survival series reads all its orders from one upward walk
-        ks = list(itertools.islice(
-            specfun._upward(*specfun._k01_scaled(x), x), 17))
-        assert ks == [bessel_k_scaled(n, x) for n in range(17)]
+        assert specfun._orders(x, 16) == [bessel_k_scaled(n, x)
+                                          for n in range(17)]
 
     # float.hex of e^x K_0(x) and e^x K_1(x) from the Chebyshev fits, as
     # the two fits gave them walked one at a time; walking them together
@@ -330,9 +328,7 @@ class TestGainCdf:
             calls.append(r)
             return original(r)
 
-        # the array path imports the one-point helper by name
         monkeypatch.setattr(specfun, "_k01_scaled", counted)
-        monkeypatch.setattr(_array_path, "_k01_scaled", counted)
         # x = 112 is on the survival branch; r = 2 sqrt(x) > 2 uses the fits
         assert 112.0 >= specfun._shape_table(16, 9).switch
         meijer_g_log_cdf(16, 9, 112.0)
@@ -470,14 +466,6 @@ class TestSwitch:
         assert np.isnan(got).all()
 
 
-def _mixed_bessel_args():
-    """Arguments on both sides of the x = 2 switch, and at it."""
-    rng = np.random.default_rng(7)
-    return np.concatenate([10.0 ** rng.uniform(-8.0, 0.301, 2000),
-                           rng.uniform(2.0, 700.0, 500),
-                           [1e-6, 1.999999, 2.0, 2.000001, 448.0]])
-
-
 def _log_many(x):
     """math.log of each element of x; -inf at 0."""
     return np.array([math.log(v) if v else -math.inf for v in x.tolist()])
@@ -564,26 +552,3 @@ class TestArrayLogCdf:
     def test_empty(self):
         x = np.array([])
         assert _array_path._log_cdf_many(2, 3, x, x).shape == (0,)
-
-    @pytest.mark.parametrize("xs", [
-        _mixed_bessel_args(),
-        np.array([3.5]),
-        np.array([1e-8, 0.05, 1.0, 1.999999, 2.0]),
-        np.array([2.000001, 5.0, 30.0, 700.0]),
-        np.array([2.0]),
-    ], ids=["mixed", "one", "all-small", "all-large", "two"])
-    def test_bessel_orders_match_one_point_walk(self, xs):
-        # the survival series at r = 2 sqrt(x) = xs reads K_1..K_16 from the
-        # array walk: bitwise the one-point series, on both sides of the
-        # r = 2 switch of the K_0/K_1 evaluation, and with either side empty
-        x = (xs / 2.0) ** 2
-        for n_r in (1, 9, 16):
-            with np.errstate(all="ignore"):
-                got = _array_path._survival_many(16, n_r, x, _log_many(x))
-            for v, g in zip(x.tolist(), got.tolist()):
-                try:
-                    want = specfun._survival(16, n_r, v)
-                except (OverflowError, ValueError):
-                    want = math.nan
-                assert struct.pack("<d", g) == struct.pack("<d", want), \
-                    (n_r, v, g, want)
