@@ -12,8 +12,8 @@ taken once and feeds both the CDF and the asymptote; ln ln snr is taken
 only where a square array's asymptote is not blank.
 
 Each value is bitwise the one-point value. Only IEEE-exact operations run in
-numpy (``+ - * /``, ``sqrt``, ``abs``, comparisons), elementwise and in the
-one-point code's left-to-right grouping; every exp, log, log1p and ``**``
+numpy (``+ - * /``, ``abs``, comparisons), elementwise and in the one-point
+code's left-to-right grouping; every exp, log, log1p and ``**``
 goes through ``math`` one element at a time (``_each``), because numpy's
 vectorised ones may differ in the last bit. No series sum uses a numpy
 reduction: a term loop adds one term per step to every live point, under a

@@ -201,8 +201,7 @@ def _curve_columns(args, axis: list, rate, snrs: tuple) -> tuple:
 
 
 def _check_mirror(args) -> None:
-    """A curve's JSON mirror goes beside its --out file; refuse --json
-    without one before any point is evaluated or simulated."""
+    """Refuse a curve's --json without --out before any point is computed."""
     if args.json and args.out is None:
         raise ValueError("--json needs --out to place the mirror")
 
