@@ -20,34 +20,26 @@ reduction: a term loop adds one term per step to every live point, under a
 mask, and a point stops being live at the very term where the one-point
 loop stops. Only the ascending series runs on arrays, for the points below
 the shape's ``_shape_table`` switch; every point from the switch on maps
-the one-point ``specfun._log_cdf``, so 1 - S(x), its fallback and its
-float64-reach decision exist once.
+the one-point ``specfun._log_cdf``, so 1 - S(x), its fallback, its
+float64-reach decision and its cancellation guard exist once. The array
+ascending series sums its terms' magnitudes under the same mask and
+refuses, as a nan, exactly the points the one-point guard refuses.
 
 The array path only computes, and it computes every point: an invalid input
 gets a nan threshold prefix, so its exact log is nan, as is the exact log
-of a point where the one-point path would raise. The first point with a nan
-exact log is replayed: ``exact_outage`` of its ``SystemConfig`` raises the
-error the one-point calls in axis order would raise first, and within that
-point its first failing round's.
+of a point where the one-point path would raise. ``outage_curve`` decides
+what each nan means.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
-from .analysis import (
-    _blank,
-    _gain,
-    _log_log,
-    _per_round,
-    _term,
-    exact_outage,
-)
-from .specfun import _log_cdf, _shape_table
+from .analysis import _gain, _log_log, _per_round, _term
+from .specfun import _CANCEL, _log_cdf, _shape_table
 
 
 def _each(fn, a):
@@ -78,31 +70,45 @@ def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
     it raises.
 
     A term is added only to the live points, and a point stops being live
-    at the term where the scalar loop breaks, so its sum has exactly the
-    scalar's terms.
+    at the term where the scalar loop breaks, so its sum, and the sum of
+    its terms' magnitudes that the cancellation guard reads, have exactly
+    the scalar's terms.
     """
     tab = _shape_table(n_t, n_r)
-    g = np.zeros_like(x)
+    # one row each for the sum and its magnitudes, so one add updates both
+    acc = np.zeros((2, x.size))
+    g, mag = acc
     fk = np.ones_like(x)
     negx = -x
     for h in tab.head:
-        g = g + h * fk
+        t = h * fk
+        g += t
+        mag += np.abs(t)
         fk = fk * negx
-    # (-1)^tau: adding -term is subtracting term, bit for bit
-    add = np.add if tab.sgn > 0.0 else np.subtract
     # x ** 0 is 1.0 for every float, so square shapes take no pow
     xt = (_each(functools.partial(pow, exp=n_t - n_r), x) if n_t > n_r
           else np.ones_like(x))
     live = np.ones(x.shape, dtype=bool)
+    step = np.empty_like(acc)
+    term, a = step  # the signed term and its magnitude
+    buf = np.empty_like(x)
     for k, (fact, bk, c) in enumerate(zip(tab.fact, tab.big_k, tab.psi)):
-        term = xt * fact / bk * (c - logx)
-        add(g, term, out=g, where=live)
+        # negating a factor negates the product bit for bit, so this is
+        # the scalar's sgn * term
+        np.multiply(xt, tab.sgn * fact, out=term)
+        np.divide(term, bk, out=term)
+        np.multiply(term, np.subtract(c, logx, out=buf), out=term)
+        np.abs(term, out=a)
+        np.add(acc, step, out=acc, where=live)
         if k >= 2:
-            live &= ~(np.abs(term) < 1e-17 * np.abs(g))
-            if not live.any():
+            np.multiply(np.abs(g, out=buf), 1e-17, out=buf)
+            live &= ~(a < buf)
+            if not np.count_nonzero(live):
                 break
-        xt = xt * x
-    return n_r * logx + _each(math.log, g) - tab.lg_t - tab.lg_r
+        np.multiply(xt, x, out=xt)
+    out = n_r * logx + _each(math.log, g) - tab.lg_t - tab.lg_r
+    out[2.0 ** -53 * mag > _CANCEL * np.abs(g)] = math.nan
+    return out
 
 
 def _log_cdf_many(n_t: int, n_r: int, x, logx):
@@ -140,14 +146,14 @@ def _log_log_each(snr):
     return out
 
 
-def curve(n_t: int, n_r: int, rate, snrs: list, col: list, n: int,
-          configs) -> tuple:
-    """``outage_curve`` on the array path, all points at once.
+def curve(n_t: int, n_r: int, rate, snrs: list, col: list, n: int) -> tuple:
+    """The raw exact and asymptotic logs of a curve, as two lists.
 
     ``rate`` and the distinct round columns ``snrs`` are as
-    ``analysis._columns`` parses them, and round j is snrs[col[j]].
-    ``configs`` yields each point's ``SystemConfig``, for the replay of the
-    first failing point.
+    ``analysis._columns`` parses them, and round j is snrs[col[j]]. The
+    exact log is nan exactly where the one-point path raises. The asymptote
+    is nan where a square array's SNR is at most 1, and it is not blanked
+    where its exp overflows.
     """
     gains = (np.full(n, _gain(n_t, rate)) if isinstance(rate, float) else
              np.fromiter(map(functools.partial(_gain, n_t), rate), float, n))
@@ -172,16 +178,4 @@ def curve(n_t: int, n_r: int, rate, snrs: list, col: list, n: int,
         log_exact = _per_round(col, log_cdf.__getitem__)
         log_asy = _per_round(col, lambda d: _term(
             n_t, n_r, log_t[d], snrs[d], _log_log_each))
-    failed = np.flatnonzero(np.isnan(log_exact))
-    if failed.size:  # the one-point path raises the first failing point's
-        first = int(failed[0])
-        v = exact_outage(next(itertools.islice(configs, first, None)))
-        raise RuntimeError(f"curve point {first} is nan in the array path "
-                           f"only; its one-point log is {v.log_value!r}")
-    # at rate 0 every threshold is 0, so log_asy is -inf as in
-    # ``asymptotic_outage``. It is nan where a square array's SNR is <= 1
-    # (no ln ln snr was taken); below exp(709) nothing overflows.
-    asy = log_asy.tolist()
-    for i in np.flatnonzero(~(log_asy <= 709.0)).tolist():
-        asy[i] = _blank(asy[i])
-    return log_exact.tolist(), asy
+    return log_exact.tolist(), log_asy.tolist()

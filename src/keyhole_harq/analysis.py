@@ -27,10 +27,13 @@ fewer than ``_ARRAY_THRESHOLDS`` distinct thresholds (points x distinct SNR
 columns) calls the one-point functions point by point, which is faster
 there than any array set-up. A longer curve takes the array path in
 ``_array_path``, which evaluates it as float64 columns, each point bitwise
-the one-point value, and replays its first failing point through the
-one-point evaluation. This module imports numpy only to name the fault of
-a column it refuses; ``_array_path``, and with it numpy, loads on the first
-curve that takes the array path.
+the one-point value, nan where a value is undefined. ``outage_curve``
+decides what a nan means for both paths: it replays the first point with a
+nan exact log through ``exact_outage``, which raises the error the one-point
+calls in axis order raise first, and blanks (None) every nan or overflowing
+asymptote. This module imports numpy only to name the fault of a column it
+refuses; ``_array_path``, and with it numpy, loads on the first curve that
+takes the array path.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 from .errors import DomainError, UnsupportedConfigError
 from .keyhole import SystemConfig, check_count
@@ -227,17 +231,23 @@ def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
     if n * len(distinct) >= _ARRAY_THRESHOLDS and len(index) == k_rounds:
         from ._array_path import curve
 
-        return curve(n_t, n_r, rates, distinct, index, n, configs)
-    log_exact, log_asy = [], []
-    for config in configs:
-        log_exact.append(_log_exact(config))
-        try:
-            v = _log_asymptotic(config)
-            # only above 709 can asymptotic_outage's exp overflow
-            log_asy.append(v if v <= 709.0 else _blank(v))
-        except DomainError:
-            log_asy.append(None)
-    return log_exact, log_asy
+        log_exact, log_asy = curve(n_t, n_r, rates, distinct, index, n)
+        nan = [*map(math.isnan, log_exact)]
+        if True in nan:  # the one-point path raises the first failing point's
+            first = nan.index(True)
+            v = exact_outage(next(islice(configs, first, None)))
+            raise RuntimeError(f"curve point {first} is nan in the array path "
+                               f"only; its one-point log is {v.log_value!r}")
+    else:
+        log_exact, log_asy = [], []
+        for config in configs:
+            log_exact.append(_log_exact(config))
+            try:
+                log_asy.append(_log_asymptotic(config))
+            except DomainError:
+                log_asy.append(math.nan)
+    # only above 709 can asymptotic_outage's exp overflow
+    return log_exact, [v if v <= 709.0 else _blank(v) for v in log_asy]
 
 
 def outage_threshold(config: SystemConfig, round_index: int) -> float:

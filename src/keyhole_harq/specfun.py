@@ -18,7 +18,10 @@ The public functions are plain float64 arithmetic on the standard library's
   survival series; an ascending power series around zero takes over where
   1 - S(x) would cancel. Where neither series can be evaluated in float64
   (an overflowing term, or cancellation that leaves no valid logarithm),
-  ``meijer_g_log_cdf`` raises ``DomainError`` instead of returning NaN.
+  ``meijer_g_log_cdf`` raises ``DomainError`` instead of returning NaN. It
+  raises one too where the series taken cancels so far that the rounding
+  error estimate u sum|t| / |sum t| (u S / (1 - S) for 1 - S) passes
+  ``_CANCEL``: a value that would be garbage is refused.
   The factors of both series that depend only on the shapes (lgamma
   values, the ascending series' coefficients for every term) are computed
   once per shape and kept in a bounded LRU table, so an evaluation at x does
@@ -288,24 +291,45 @@ def _cdf_ascending(n_t: int, n_r: int, x: float) -> float:
 
     x^m is factored out so the result is formed in the log domain without
     underflow; all remaining factors are O(|ln x|) or smaller. Every factor
-    that does not depend on x comes from the shape's table.
+    that does not depend on x comes from the shape's table. Raises
+    ``DomainError`` where the sum cancels past _CANCEL.
     """
     tab = _shape_table(n_t, n_r)
     logx = math.log(x)
-    g = 0.0
+    g = mag = 0.0  # the sum and the sum of its terms' magnitudes
     fk = 1.0
     for h in tab.head:
-        g += h * fk
+        t = h * fk
+        g += t
+        mag += abs(t)
         fk *= -x
     sgn = tab.sgn
     xt = x ** (n_t - n_r)
     for k, (fact, bk, c) in enumerate(zip(tab.fact, tab.big_k, tab.psi)):
         term = xt * fact / bk * (c - logx)
         g += sgn * term
-        if k >= 2 and abs(term) < 1e-17 * abs(g):
+        a = abs(term)
+        mag += a
+        if k >= 2 and a < 1e-17 * abs(g):
             break
         xt *= x
+    if 2.0 ** -53 * mag > _CANCEL * abs(g):
+        raise _cancelled("ascending", n_t, n_r, x)
     return n_r * logx + math.log(g) - tab.lg_t - tab.lg_r
+
+
+# The cancellation guard (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, 4.2): a sum whose terms' magnitudes add to mag may lose
+# u mag / |sum| of its relative accuracy to rounding (u = 2^-53), and 1 - S
+# may lose u S / (1 - S). Past _CANCEL the CDF is refused, not returned.
+_CANCEL = 1e-5
+
+
+def _cancelled(series: str, n_t: int, n_r: int, x: float) -> DomainError:
+    return DomainError(
+        f"gain CDF for shapes ({n_t}, {n_r}) at x = {x!r} is refused: "
+        f"cancellation in the {series} series may leave a relative error "
+        f"above {_CANCEL:g}")
 
 
 # Each shape switches from the ascending series to 1 - S(x) where the
@@ -378,7 +402,8 @@ def meijer_g_log_cdf(n_t, n_r, x: float) -> float:
 
 def _log_cdf(n_t: int, n_r: int, x: float) -> float:
     """ln F(x) for checked shapes n_t >= n_r and x > 0; nan where neither
-    series can be evaluated in float64.
+    series can be evaluated in float64, and ``DomainError`` where the
+    series taken cancels past _CANCEL.
 
     x below the shape's switch takes the ascending series, x from it on
     1 - S(x). ``meijer_g_log_cdf`` calls this, and the array path maps it
@@ -392,7 +417,11 @@ def _log_cdf(n_t: int, n_r: int, x: float) -> float:
             # roundoff can push S marginally past 1 when F is at the
             # switch edge
             return _cdf_ascending(n_t, n_r, x)
+        if 2.0 ** -53 * s > _CANCEL * (1.0 - s):
+            raise _cancelled("survival", n_t, n_r, x)
         return math.log1p(-s)
+    except DomainError:
+        raise
     except (OverflowError, ValueError):
         return math.nan
 

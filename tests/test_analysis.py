@@ -376,6 +376,16 @@ class TestOutageCurve:
         # CDF is beyond float64 at snr 10
         _assert_same_error(16, 16, 2, [(3.0, (10.0, 10.0)), (1019.0, snrs)])
 
+    def test_cancellation_refusal_on_a_long_curve(self):
+        # 32x32, rate 3 from 0 to 10 dB: thresholds 224/snr cross the range
+        # the cancellation guard refuses (x from about 51 to the switch,
+        # 136.6), and the curve is long enough to take the array path
+        points = [(3.0, (10.0 ** (0.01 * i),)) for i in range(101)]
+        assert len(points) >= analysis._ARRAY_THRESHOLDS
+        with pytest.raises(DomainError, match="cancellation"):
+            _curve(32, 32, 1, points)
+        _assert_same_error(32, 32, 1, points)
+
     def test_shape_past_lgamma_reach(self):
         # lgamma(tau) overflows exp for tau = 199: every x > 0 is refused
         _assert_same_error(200, 1, 1, [(3.0, (10.0,))])

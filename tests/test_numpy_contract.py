@@ -27,8 +27,8 @@ _MODULES = ["specfun.py", "analysis.py", "_array_path.py"]
 # Every numpy name these modules use: exact arithmetic, array building and
 # indexing, and predicates.
 _ALLOWED = frozenset("""
-    abs add subtract array zeros_like ones ones_like full
-    flatnonzero fromiter vstack isfinite isnan errstate
+    abs add subtract multiply divide array zeros ones ones_like full
+    empty_like count_nonzero flatnonzero fromiter vstack isfinite errstate
 """.split())
 # Reductions, whose grouping is numpy's, not the one-point loop's. np.add
 # and np.subtract are allowed, so their ufunc reductions are barred too.

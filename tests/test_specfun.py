@@ -367,8 +367,9 @@ class TestGainCdf:
         want = gain_log_cdf_oracle(16, 16, x)
         assert abs(math.expm1(got - want)) < 1e-12
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="returns ln F = -10.47, oracle -58.36")
+    @pytest.mark.xfail(strict=True, raises=DomainError,
+                       reason="the ascending series cancels (it read ln F = "
+                              "-10.47, oracle -58.36); the guard refuses it")
     def test_64x64_at_448_within_target(self):
         got = meijer_g_log_cdf(64, 64, 448.0)
         want = gain_log_cdf_oracle(64, 64, 448.0)
@@ -543,6 +544,10 @@ class TestArrayLogCdf:
         (1, 173, [0.0, 1e-6, 3.0, 40.0, 1e3]),
         (1, 172, [0.0, 1e-6, 3.0, 40.0, 1e3]),
         (2, 2, [1e300, 1.7e308, 5e-324]),
+        # the cancellation guard: 32x32 refuses x from about 51 up to its
+        # switch (136.6), 64x64 refuses 448 (ascending) and 1024 (survival)
+        (32, 32, [16.0, 50.0, 52.0, 64.0, 136.0, 137.0, 200.0]),
+        (64, 64, [100.0, 448.0, 1024.0, 4096.0]),
     ])
     def test_domain_errors_at_the_same_points(self, n_t, n_r, xs):
         nan = [math.isnan(_one_point_log_cdf(n_t, n_r, x)) for x in xs]
@@ -552,3 +557,68 @@ class TestArrayLogCdf:
     def test_empty(self):
         x = np.array([])
         assert _array_path._log_cdf_many(2, 3, x, x).shape == (0,)
+
+
+class TestCancellationGuard:
+    # Where the rounding-error estimate of the series taken, u sum|t| /
+    # |sum t| or u S / (1 - S) with u = 2^-53, passes specfun._CANCEL, the
+    # gain CDF is refused with DomainError instead of returned as garbage.
+
+    @pytest.mark.parametrize("n_t,n_r,x,series", [
+        (64, 64, 448.0, "ascending"),    # read ln F = -10.47, oracle -58.36
+        (32, 32, 64.0, "ascending"),     # relative error 6.3e-3
+        (64, 64, 1024.0, "survival"),    # relative error 2.5e-2
+    ])
+    def test_refuses_cancelled_values(self, n_t, n_r, x, series):
+        with pytest.raises(DomainError) as got:
+            meijer_g_log_cdf(n_t, n_r, x)
+        assert str(got.value) == (
+            f"gain CDF for shapes ({n_t}, {n_r}) at x = {x!r} is refused: "
+            f"cancellation in the {series} series may leave a relative "
+            "error above 1e-05")
+
+    @pytest.mark.parametrize("big", range(1, 17))
+    def test_no_refusal_up_to_16x16(self, big):
+        # the low side of the bound: the largest estimate at these points
+        # is 1.2e-7 (16x14 at 0.9 of its switch, ascending) and 1.1e-10 on
+        # the survival branch
+        for small in range(1, big + 1):
+            switch = specfun._shape_table(big, small).switch
+            xs = [math.nextafter(switch, 0.0), 0.1 * switch, 0.5 * switch,
+                  0.9 * switch, switch, 1.1 * switch, 2.0 * switch]
+            for x in xs:
+                assert math.isfinite(meijer_g_log_cdf(big, small, x))
+                assert math.isfinite(meijer_g_log_cdf(small, big, x))
+
+    @staticmethod
+    def _flip(monkeypatch, n_t, n_r, x):
+        """The least bound at which the one-point guard answers at x, to the
+        bit: bisection over the bit patterns of the floats in [0, 1]."""
+        lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            bound = struct.unpack("<d", struct.pack("<q", mid))[0]
+            monkeypatch.setattr(specfun, "_CANCEL", bound)
+            if math.isnan(_one_point_log_cdf(n_t, n_r, x)):
+                lo = mid
+            else:
+                hi = mid
+        return struct.unpack("<d", struct.pack("<q", hi))[0]
+
+    @pytest.mark.parametrize("n_t,n_r", [(5, 3), (9, 2), (12, 12), (16, 9),
+                                         (16, 16)])
+    def test_array_decides_as_the_scalar_at_each_flip(self, monkeypatch,
+                                                      n_t, n_r):
+        # at each x the bound where the scalar guard turns from refusing to
+        # answering is found to the bit; given that bound and the float
+        # below it, the array path decides as the scalar does only if its
+        # sums of magnitudes (head terms included) are the scalar's
+        switch = specfun._shape_table(n_t, n_r).switch
+        xs = [1e-3 * switch, 0.1 * switch, 0.5 * switch, 0.9 * switch,
+              math.nextafter(switch, 0.0), switch, 2.0 * switch]
+        for x in xs:
+            flip = self._flip(monkeypatch, n_t, n_r, x)
+            for bound in (math.nextafter(flip, 0.0), flip):
+                monkeypatch.setattr(specfun, "_CANCEL", bound)
+                monkeypatch.setattr(_array_path, "_CANCEL", bound)
+                TestArrayLogCdf._assert_matches(n_t, n_r, [x])

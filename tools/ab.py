@@ -14,6 +14,12 @@ untimed to warm every cache, then ``--pairs`` timed rounds. A round runs
 parent, change and the second parent copy in that order, and the next round
 in the reverse order, so a drift of the machine's speed hits the sides alike.
 
+The warm pass also keeps each op's exit code (or the type and message of
+its exception) and output bytes on each side, and compares the change and
+the second parent copy with the parent. If every op matches it prints
+``outputs: N of N ops byte-identical``; otherwise it names the first op
+that differs and exits 1 before any timing.
+
 For each round and each of the per-run op p50 and the total time, it takes
 the ratios change/parent and A/A (second parent copy/parent), and prints the
 median and quartiles of each. A ratio below 1 means faster than the parent;
@@ -34,6 +40,7 @@ import time
 from pathlib import Path
 
 from bench_pairs import ROOT, extract
+from output_hash import op_output
 
 SIDES = ("parent", "change", "aa")
 
@@ -89,9 +96,21 @@ def main(argv=None) -> int:
         clis = {"parent": load("kh_parent", parent_pkg),
                 "change": load("kh_change", ROOT / "src" / "keyhole_harq"),
                 "aa": load("kh_aa", parent_pkg)}
+        print(f"parent {args.parent} ({sha[:12]}) against this checkout: "
+              f"{args.workload} seed {args.seed}, {len(argvs)} ops, "
+              f"{args.pairs} rounds")
         out = tmp / "op.out"
-        for side in SIDES:
-            run_ops(clis[side], argvs, out)
+        warm = {side: [op_output(clis[side], argv, out) for argv in argvs]
+                for side in SIDES}
+        for side in ("change", "aa"):
+            differ = [i for i, (want, got) in
+                      enumerate(zip(warm["parent"], warm[side])) if want != got]
+            if differ:
+                i = differ[0]
+                print(f"outputs: op {i} differs between parent and {side}: "
+                      f"{' '.join(argvs[i])}")
+                return 1
+        print(f"outputs: {len(argvs)} of {len(argvs)} ops byte-identical")
         p50 = {side: [] for side in SIDES}
         total = {side: [] for side in SIDES}
         for pair in range(args.pairs):
@@ -100,9 +119,6 @@ def main(argv=None) -> int:
                 p50[side].append(statistics.median(times))
                 total[side].append(sum(times))
 
-    print(f"parent {args.parent} ({sha[:12]}) against this checkout: "
-          f"{args.workload} seed {args.seed}, {len(argvs)} ops, "
-          f"{args.pairs} rounds")
     for metric, runs in (("op p50", p50), ("total", total)):
         for side, label in (("change", "change/parent"), ("aa", "A/A")):
             ratios = [s / p for s, p in zip(runs[side], runs["parent"])]

@@ -21,6 +21,18 @@ import tempfile
 from pathlib import Path
 
 
+def op_output(cli, argv, out: Path) -> tuple:
+    """``cli.main`` of argv with ``--out`` naming ``out``: its exit code (or
+    the type and message of its exception) and the bytes it wrote there
+    (None for no file)."""
+    out.unlink(missing_ok=True)
+    try:
+        rc = cli.main([*argv, "--out", str(out)])
+    except Exception as exc:  # a crash is part of the output
+        rc = f"{type(exc).__name__}: {exc}"
+    return rc, out.read_bytes() if out.exists() else None
+
+
 def output_hash(root: Path, workload: str, seed: int, ops: int) -> str:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from keyhole_harq import cli
@@ -33,13 +45,9 @@ def output_hash(root: Path, workload: str, seed: int, ops: int) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "op.out"
         for op in itertools.islice(stream, ops):
-            out.unlink(missing_ok=True)
-            try:
-                rc = cli.main([*op.argv, "--out", str(out)])
-            except Exception as exc:  # a crash is part of the output
-                rc = f"{type(exc).__name__}: {exc}"
+            rc, data = op_output(cli, op.argv, out)
             digest.update(repr((op.argv, rc)).encode())
-            digest.update(out.read_bytes() if out.exists() else b"<none>")
+            digest.update(b"<none>" if data is None else data)
     return digest.hexdigest()
 
 
