@@ -90,12 +90,10 @@ def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
           else np.ones_like(x))
     live = np.ones(x.shape, dtype=bool)
     step = np.empty_like(acc)
-    term, a = step  # the signed term and its magnitude
+    term, a = step  # the term and its magnitude
     buf = np.empty_like(x)
     for k, (fact, bk, c) in enumerate(zip(tab.fact, tab.big_k, tab.psi)):
-        # negating a factor negates the product bit for bit, so this is
-        # the scalar's sgn * term
-        np.multiply(xt, tab.sgn * fact, out=term)
+        np.multiply(xt, fact, out=term)
         np.divide(term, bk, out=term)
         np.multiply(term, np.subtract(c, logx, out=buf), out=term)
         np.abs(term, out=a)

@@ -217,9 +217,8 @@ class _ShapeTable(NamedTuple):
 
     lg_t: float          # lgamma(n_t)
     lg_r: float          # lgamma(n_r)
-    sgn: float           # (-1)^tau
     head: tuple          # (tau-k-1)! / (k! (m+k)), k < tau
-    fact: tuple          # 1 / (k! (tau+k)!), k < _ASCENDING_TERMS
+    fact: tuple          # (-1)^tau / (k! (tau+k)!), k < _ASCENDING_TERMS
     big_k: tuple         # M + k
     psi: tuple           # psi(k+1) + psi(tau+k+1) + 1/(M+k)
     surv: tuple          # (0.5 (n_t+m), lgamma(m+1)), m < n_r
@@ -235,9 +234,12 @@ def _shape_table(n_t: int, n_r: int) -> _ShapeTable:
     pa = _digamma_int(1)
     pb = _digamma_int(tau + 1)
     fact = math.exp(-math.lgamma(tau + 1))
+    sgn = 1.0 if tau % 2 == 0 else -1.0
     facts, big_k, psi = [], [], []
     for k in range(_ASCENDING_TERMS):
-        facts.append(fact)
+        # negating a factor negates the product bit for bit, so the series
+        # adds (-1)^tau times its term by adding its term
+        facts.append(sgn * fact)
         big_k.append(n_t + k)
         psi.append(pa + pb + 1.0 / (n_t + k))
         fact /= (k + 1.0) * (tau + k + 1.0)
@@ -246,7 +248,6 @@ def _shape_table(n_t: int, n_r: int) -> _ShapeTable:
     return _ShapeTable(
         lg_t=math.lgamma(n_t),
         lg_r=math.lgamma(n_r),
-        sgn=1.0 if tau % 2 == 0 else -1.0,
         head=head,
         fact=tuple(facts),
         big_k=tuple(big_k),
@@ -303,11 +304,10 @@ def _cdf_ascending(n_t: int, n_r: int, x: float) -> float:
         g += t
         mag += abs(t)
         fk *= -x
-    sgn = tab.sgn
     xt = x ** (n_t - n_r)
     for k, (fact, bk, c) in enumerate(zip(tab.fact, tab.big_k, tab.psi)):
         term = xt * fact / bk * (c - logx)
-        g += sgn * term
+        g += term
         a = abs(term)
         mag += a
         if k >= 2 and a < 1e-17 * abs(g):
