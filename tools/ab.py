@@ -103,8 +103,8 @@ def main(argv=None) -> int:
         warm = {side: [op_output(clis[side], argv, out) for argv in argvs]
                 for side in SIDES}
         for side in ("change", "aa"):
-            differ = [i for i, (want, got) in
-                      enumerate(zip(warm["parent"], warm[side])) if want != got]
+            pairs = zip(warm["parent"], warm[side])
+            differ = [i for i, (want, got) in enumerate(pairs) if want != got]
             if differ:
                 i = differ[0]
                 print(f"outputs: op {i} differs between parent and {side}: "
