@@ -613,17 +613,17 @@ class TestDomainEdges:
           "--snr-db", "0:1:0"], 2, "gain CDF"),
         (["sweep-snr", "--nt", "200", "--nr", "200", "--k", "1",
           "--snr-db", "1:1:1"], 2, "gain CDF"),
-        # the cancellation guard refuses 64x64 at x = 448 (0 dB), which
-        # read exact 2.83e-05 against the oracle's 4.5e-26
-        (["sweep-snr", "--nt", "64", "--nr", "64", "--k", "1", "--rate", "3",
-          "--snr-db", "0:1:3"], 2, "gain CDF for shapes (64, 64) at x = "
-         "448.0 is refused: cancellation"),
         (["sweep-snr", "--snr-db", "3090:1:3090"], 2, "SNR"),
         (["simulate", "--gamma-db", "4000", "--trials", "10"], 2, "SNR"),
         (["diversity", "--snr-db", "3000:100:3100", "--method", "exact"],
          2, "SNR"),
         # refused from its point count, before a point is built
         (["sweep-snr", "--snr-db", "0:1e-300:1"], 2, "range"),
+        # the cancellation guard refuses 64x64 at x = 448 (0 dB), which
+        # read exact 2.83e-05 against the oracle's 4.5e-26
+        (["sweep-snr", "--nt", "64", "--nr", "64", "--k", "1", "--rate", "3",
+          "--snr-db", "0:1:3"], 2, "gain CDF for shapes (64, 64) at x = "
+         "448.0 is refused: cancellation"),
     ])
     def test_typed_outcome(self, capsys, argv, code, quantity):
         assert main(argv) == code

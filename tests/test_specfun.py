@@ -588,7 +588,6 @@ class TestCancellationGuard:
                   0.9 * switch, switch, 1.1 * switch, 2.0 * switch]
             for x in xs:
                 assert math.isfinite(meijer_g_log_cdf(big, small, x))
-                assert math.isfinite(meijer_g_log_cdf(small, big, x))
 
     @staticmethod
     def _flip(monkeypatch, n_t, n_r, x):
