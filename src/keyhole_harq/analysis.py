@@ -129,7 +129,7 @@ def _per_round(snrs, log_term):
     return log_p
 
 
-# the array-path size (module docstring; tools/curve_timing.py)
+# the array-path size (module docstring; the tools/ab.py curve rows)
 _ARRAY_THRESHOLDS = 64
 
 

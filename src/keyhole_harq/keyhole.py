@@ -128,7 +128,9 @@ def mutual_information_round(x_gain: float, snr: float, n_t: int) -> float:
     """log2(1 + (snr/n_t) x_gain) in bits/s/Hz.
 
     Rank-one channels have a single nonzero eigenmode, so the MIMO
-    log-determinant collapses to this scalar expression.
+    log-determinant collapses to this scalar expression. Where
+    (snr/n_t) x_gain overflows float64 it is log2 snr + log2 x_gain -
+    log2 n_t, which the dropped 1 cannot change.
     """
     n_t = operator.index(n_t)
     if n_t < 1:
@@ -139,5 +141,8 @@ def mutual_information_round(x_gain: float, snr: float, n_t: int) -> float:
         raise ValueError(f"x_gain must be finite and >= 0, got {x_gain}")
     if not math.isfinite(snr) or snr <= 0.0:
         raise ValueError(f"snr must be finite and > 0, got {snr}")
-    return math.log1p(snr * x_gain / n_t) / _LN2
+    v = snr * x_gain / n_t
+    if v == math.inf:  # past float64, the log of the product is a sum
+        return (math.log(snr) + math.log(x_gain) - math.log(n_t)) / _LN2
+    return math.log1p(v) / _LN2
 

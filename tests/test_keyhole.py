@@ -4,6 +4,7 @@ information behind the outage threshold."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -160,6 +161,23 @@ class TestMutualInformation:
 
     def test_zero_gain(self):
         assert mutual_information_round(0.0, 5.0, 2) == 0.0
+
+    @pytest.mark.parametrize("x_gain, snr, n_t", [
+        (1e308, 1e308, 1),      # 2046.3077 bits
+        (1e200, 1e200, 2),
+        (1e300, 1e10, 3),
+        (1.5e308, 2.0, 4),      # the quotient is finite, the product not
+    ])
+    def test_overflowing_product_takes_the_log_form(self, x_gain, snr, n_t):
+        with mpmath.workdps(40):
+            want = float(mpmath.log(1 + mpmath.mpf(snr) * x_gain / n_t, 2))
+        got = mutual_information_round(x_gain, snr, n_t)
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_largest_finite_product_keeps_log1p(self):
+        x = 1.7976931348623157e308
+        assert mutual_information_round(x, 1.0, 1) == (
+            math.log1p(x) / math.log(2.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):

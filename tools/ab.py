@@ -3,36 +3,41 @@
     python3 tools/ab.py --parent HEAD~1 --workload snr_curves --seed 1 \
         --ops 72 --pairs 30
 
-The committed files of ``--parent`` are extracted with ``git archive`` into
-a temporary directory. Its ``src/keyhole_harq`` is loaded twice, as the
-packages ``kh_parent`` and ``kh_aa``, and this checkout's (with any
-uncommitted edits) as ``kh_change``, so all three live in one process. The
-first ``--ops`` invocations of the workload's seeded op stream
-(``perfbench/workloads.py`` of this checkout, at one lane) then run through
-each package's ``cli.main``, with ``--out`` naming a scratch file: once
-untimed to warm every cache, then ``--pairs`` timed rounds. A round runs
-parent, change and the second parent copy in that order, and the next round
-in the reverse order, so a drift of the machine's speed hits the sides alike.
+The ``src/keyhole_harq`` of ``--parent`` (by ``git archive``) is loaded
+twice, as ``kh_parent`` and ``kh_aa``, and this checkout's (uncommitted
+edits too) as ``kh_change``, in one process. Each side runs the same cases:
 
-The warm pass also keeps each op's exit code (or the type and message of
-its exception) and output bytes on each side, and compares the change and
-the second parent copy with the parent. If every op matches it prints
-``outputs: N of N ops byte-identical``; otherwise it names the first op
-that differs and exits 1 before any timing.
+* the first ``--ops`` ops of the workload's seeded stream, at lanes = usable
+  cores as ``perfbench/run.py`` runs them, through ``cli.main``;
+* layer cases, each one call repeated a fixed number of times a round: the
+  ``perfbench/crosscheck.py`` rows, and ``outage_curve`` at K=3 over 0-70 dB
+  SNR sweeps of 1 to 281 points and rate sweeps at 5, 10 and 15 dB ("3
+  SNRs"). Where a curve takes the array path (from 64 thresholds, points x
+  distinct SNR columns) the one-point loop is timed beside it, so the
+  crossover stays measurable.
 
-For each round and each of the per-run op p50 and the total time, it takes
-the ratios change/parent and A/A (second parent copy/parent), and prints the
-median and quartiles of each. A ratio below 1 means faster than the parent;
-a change/parent spread that the A/A spread covers shows no difference.
-``setup_s`` is a process-start cost and stays with ``tools/bench_pairs.py``.
+An untimed pass warms every cache and keeps each op's exit code (or
+exception) and output bytes, and each layer case's ``repr``. If the change
+and the second parent copy match the parent it prints ``outputs: N of N ops
+byte-identical``, else it names the first case that differs and exits 1.
+``--ops 0`` runs the layer cases alone, for commits whose CLI bytes differ.
+
+Then ``--pairs`` timed rounds run every case on parent, change and the
+second parent copy, in reverse order every other round, so a drift of the
+machine's speed hits the sides alike. Each row (the ops' p50 and total,
+each op kind, each layer case) prints the parent's median us per call and
+the quartiles of the change/parent and A/A (second copy/parent) ratios. A
+ratio below 1 is faster; a change/parent spread inside the A/A spread shows
+no difference. ``tools/bench_pairs.py`` measures ``setup_s``.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
+import functools
 import importlib.util
 import itertools
+import os
 import statistics
 import sys
 import tempfile
@@ -40,36 +45,169 @@ import time
 from pathlib import Path
 
 from bench_pairs import ROOT, extract
-from output_hash import op_output
 
 SIDES = ("parent", "change", "aa")
+K_ROUNDS, RATE = 3, 3.0
+SHAPES = ((2, 2), (8, 5), (16, 16))
+POINTS = (1, 8, 23, 64, 65, 281)
+RATE_SHAPES = ((2, 2), (16, 16))
+RATE_POINTS = (21, 22, 23, 24)
+GAMMAS = tuple(10.0 ** (db / 10.0) for db in (5.0, 10.0, 15.0))
+KERNEL_CALLS = 500   # per round, of each kernel, CDF and exact_outage case
+CURVE_CALLS = 10     # per round, of each curve and one-point loop case
+SIM_TRIALS = 200_000
 
 
-def load(name: str, pkg_dir: Path):
-    """The package at ``pkg_dir`` imported as ``name``; returns its cli."""
+def _import(name: str, path: Path):
+    """The module file, or the package directory, at ``path`` as ``name``."""
+    pkg = path.is_dir()
     spec = importlib.util.spec_from_file_location(
-        name, pkg_dir / "__init__.py",
-        submodule_search_locations=[str(pkg_dir)])
+        name, path / "__init__.py" if pkg else path,
+        submodule_search_locations=[str(path)] if pkg else None)
     module = importlib.util.module_from_spec(spec)
+    for stale in [k for k in sys.modules if k.startswith(f"{name}.")]:
+        del sys.modules[stale]
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.cli")
+    return module
 
 
-def run_ops(cli, argvs: list, out: Path) -> list:
-    """The wall time of each argv through ``cli.main``, in seconds."""
-    times = []
-    for argv in argvs:
-        out.unlink(missing_ok=True)
-        t0 = time.perf_counter()
-        cli.main([*argv, "--out", str(out)])
-        times.append(time.perf_counter() - t0)
-    return times
+def workload_ops(workload: str, seed: int, n: int) -> list:
+    """The first n ``Op``s of the workload's stream at lanes = usable cores."""
+    workloads = _import("workloads", ROOT / "perfbench" / "workloads.py")
+    stream = itertools.chain.from_iterable(workloads.blocks(
+        workload, seed, len(os.sched_getaffinity(0))))
+    return list(itertools.islice(stream, n))
 
 
-def _summary(ratios: list) -> str:
-    q1, q2, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    return f"median {q2:.3f}  quartiles {q1:.3f} {q3:.3f}"
+def outcome(fn):
+    """fn(), or the type and message of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # a crash is part of the output
+        return f"{type(exc).__name__}: {exc}"
+
+
+def op_output(cli, argv, out: Path) -> tuple:
+    """``cli.main`` of argv with ``--out`` naming ``out``: its outcome and
+    the bytes it wrote there (None for no file)."""
+    out.unlink(missing_ok=True)
+    rc = outcome(lambda: cli.main([*argv, "--out", str(out)]))
+    return rc, out.read_bytes() if out.exists() else None
+
+
+def one_point_loop(pkg, n_t: int, n_r: int, points: list) -> tuple:
+    """The exact and asymptotic logs of a curve over its (rate, per-round
+    SNRs) points, as ``outage_curve`` maps them below its array-path size."""
+    log_exact, log_asy = [], []
+    for rate, snrs in points:
+        config = pkg.SystemConfig(n_t, n_r, K_ROUNDS, rate, snrs)
+        log_exact.append(pkg.exact_outage(config).log_value)
+        try:
+            log_asy.append(pkg.asymptotic_outage(config).log_value)
+        except pkg.DomainError:
+            log_asy.append(None)
+    return log_exact, log_asy
+
+
+def layer_cases(pkg) -> list:
+    """(name, calls per round, call) of every layer case of ``pkg``."""
+    part = functools.partial
+    config = pkg.SystemConfig.equal_snr(2, 2, 3, 3.0, 10.0)
+    x_surv = pkg.outage_threshold(config, 1)                    # 1.4
+    x_asc = pkg.outage_threshold(
+        pkg.SystemConfig.equal_snr(2, 2, 3, 3.0, 1e4), 1)       # 1.4e-3
+    cases = [(name, KERNEL_CALLS, call) for name, call in [
+        *((f"bessel_k_scaled({n}, {x})", part(pkg.bessel_k_scaled, n, x))
+          for n, x in ((0, 1.0), (2, 3.0), (8, 10.0))),
+        (f"meijer_g_log_cdf(2, 2, {x_surv:g}) survival",
+         part(pkg.meijer_g_log_cdf, 2, 2, x_surv)),
+        (f"meijer_g_log_cdf(2, 2, {x_asc:g}) ascending",
+         part(pkg.meijer_g_log_cdf, 2, 2, x_asc)),
+        ("exact_outage 2x2 K=3 R=3 10 dB", part(pkg.exact_outage, config))]]
+    cases.append((f"simulate_outage 2x2 K=3 lanes=1 {SIM_TRIALS // 1000}k "
+                  "trials", 1, part(pkg.simulate_outage, config, SIM_TRIALS,
+                                    seed=1, lanes=1)))
+
+    def curve(name, thresholds, n_t, n_r, rate, snrs, points):
+        cases.append((f"outage_curve {n_t}x{n_r} K={K_ROUNDS} {name}",
+                      CURVE_CALLS, part(pkg.outage_curve, n_t, n_r,
+                                        K_ROUNDS, rate, snrs)))
+        if thresholds >= 64:  # analysis._ARRAY_THRESHOLDS: the array path
+            cases.append((f"one-point loop {n_t}x{n_r} K={K_ROUNDS} {name}",
+                          CURVE_CALLS,
+                          part(one_point_loop, pkg, n_t, n_r, points)))
+
+    for (n_t, n_r), n in itertools.product(SHAPES, POINTS):
+        snr = [10.0 ** (7.0 * i / max(n - 1, 1)) for i in range(n)]
+        curve(f"{n} points", n, n_t, n_r, RATE, (snr,) * K_ROUNDS,
+              [(RATE, (g,) * K_ROUNDS) for g in snr])
+    for (n_t, n_r), n in itertools.product(RATE_SHAPES, RATE_POINTS):
+        rates = [0.5 + 0.25 * i for i in range(n)]
+        curve(f"3 SNRs {n} points", n * len(GAMMAS), n_t, n_r, rates,
+              GAMMAS, [(r, GAMMAS) for r in rates])
+    return cases
+
+
+def load_and_compare(parent: Path, change: Path, ops: list,
+                     out: Path) -> dict | None:
+    """Loads the package directory ``parent`` twice and ``change`` once, and
+    runs each side's cases (kind, name, calls per round, call) once. Prints
+    the outputs line; returns each side's cases, or None if an output of the
+    change or the second parent copy differs from the parent's."""
+    cases, warm = {}, {}
+    for side in SIDES:
+        pkg = _import(f"kh_{side}", change if side == "change" else parent)
+        cli = importlib.import_module(f"kh_{side}.cli")
+        cases[side] = [(op.kind, f"op {i} ({' '.join(op.argv)})", 1,
+                        functools.partial(op_output, cli, op.argv, out))
+                       for i, op in enumerate(ops)]
+        cases[side] += [(name, name, number, call)
+                        for name, number, call in layer_cases(pkg)]
+        warm[side] = [repr(outcome(case[3])) for case in cases[side]]
+    for side in ("change", "aa"):
+        for case, want, got in zip(cases["parent"], warm["parent"],
+                                   warm[side]):
+            if want != got:
+                print(f"outputs: {case[1]} differs between parent and {side}")
+                return None
+    n = len(warm["parent"])
+    print(f"outputs: {n} of {n} ops byte-identical")
+    return cases
+
+
+def _per_call(call, number: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(number):
+        outcome(call)
+    return (time.perf_counter() - t0) / number
+
+
+def ab(parent: Path, change: Path, ops: list, pairs: int, out: Path) -> int:
+    """``load_and_compare``, then ``pairs`` timed rounds and their rows;
+    returns the exit code."""
+    cases = load_and_compare(parent, change, ops, out)
+    if cases is None:
+        return 1
+    rows = {side: {} for side in SIDES}  # row: each round's us per call
+    for pair in range(pairs):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            times = [_per_call(case[3], case[2]) for case in cases[side]]
+            kinds = {}
+            for case, t in zip(cases[side], times):
+                kinds.setdefault(case[0], []).append(t)
+            figures = {"op p50": statistics.median(times[:len(ops)]),
+                       "total": sum(times[:len(ops)])} if ops else {}
+            figures.update((k, statistics.fmean(t)) for k, t in kinds.items())
+            for row, t in figures.items():
+                rows[side].setdefault(row, []).append(1e6 * t)
+    for row, base in rows["parent"].items():
+        spread = [" ".join(f"{q:.3f}" for q in statistics.quantiles(
+            [s / p for s, p in zip(rows[side][row], base)], n=4,
+            method="inclusive")) for side in ("change", "aa")]
+        print(f"{row:44} {statistics.median(base):10.1f} us  "
+              f"change/parent {spread[0]}  A/A {spread[1]}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -83,47 +221,16 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
-    stream = itertools.chain.from_iterable(
-        workloads.blocks(args.workload, args.seed, 1))
-    argvs = [op.argv for op in itertools.islice(stream, args.ops)]
+    ops = workload_ops(args.workload, args.seed, args.ops)
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         tmp = Path(tmp)
         sha = extract(args.parent, tmp / "parent")
-        parent_pkg = tmp / "parent" / "src" / "keyhole_harq"
-        clis = {"parent": load("kh_parent", parent_pkg),
-                "change": load("kh_change", ROOT / "src" / "keyhole_harq"),
-                "aa": load("kh_aa", parent_pkg)}
         print(f"parent {args.parent} ({sha[:12]}) against this checkout: "
-              f"{args.workload} seed {args.seed}, {len(argvs)} ops, "
+              f"{args.workload} seed {args.seed}, {len(ops)} ops, "
               f"{args.pairs} rounds")
-        out = tmp / "op.out"
-        warm = {side: [op_output(clis[side], argv, out) for argv in argvs]
-                for side in SIDES}
-        for side in ("change", "aa"):
-            pairs = zip(warm["parent"], warm[side])
-            differ = [i for i, (want, got) in enumerate(pairs) if want != got]
-            if differ:
-                i = differ[0]
-                print(f"outputs: op {i} differs between parent and {side}: "
-                      f"{' '.join(argvs[i])}")
-                return 1
-        print(f"outputs: {len(argvs)} of {len(argvs)} ops byte-identical")
-        p50 = {side: [] for side in SIDES}
-        total = {side: [] for side in SIDES}
-        for pair in range(args.pairs):
-            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                times = run_ops(clis[side], argvs, out)
-                p50[side].append(statistics.median(times))
-                total[side].append(sum(times))
-
-    for metric, runs in (("op p50", p50), ("total", total)):
-        for side, label in (("change", "change/parent"), ("aa", "A/A")):
-            ratios = [s / p for s, p in zip(runs[side], runs["parent"])]
-            print(f"{metric:7} {label:14} {_summary(ratios)}")
-    return 0
+        return ab(tmp / "parent" / "src" / "keyhole_harq",
+                  ROOT / "src" / "keyhole_harq", ops, args.pairs,
+                  tmp / "op.out")
 
 
 if __name__ == "__main__":

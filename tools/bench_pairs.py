@@ -14,21 +14,18 @@ runs from each side's directory, one side after the other, ``--pairs``
 times; the side that goes first alternates from pair to pair, so a drift of
 the machine's speed hits both sides alike.
 
-After each ``perfbench/run.py`` run, ``perfbench/crosscheck.py`` runs once
-from the same checkout, for its per-call timings of the layers (the kernel,
-the gain CDF, ``exact_outage`` and the one-lane simulator), and this
-checkout's ``tools/curve_timing.py`` runs once against that side's root,
-for the curve layer (``outage_curve`` and the one-point loop at 1 to 281
-points, and their ratio; a lower ratio is better).
+After the pairs of each workload and seed, this checkout's ``tools/ab.py``
+runs once against the parent, with as many rounds as pairs.
 
 The output JSON records, for each workload, seed and end-to-end metric of
-``BENCHMARK.json``, and under ``layers`` for each of those rows: both
-sides' medians and interquartile ranges (inclusive quartiles), each pair's
-ratio, the median ratio, and how many pairs each side won. A ratio above 1
-means the change is better: change/parent for a metric where higher is
-better, parent/change where lower is. Failed operations are recorded per
-run as well. Every run's own values go to ``.perfbench_out/<out
-stem>.runs.json``, which git ignores, so the committed record stays small.
+``BENCHMARK.json``: both sides' medians and interquartile ranges
+(inclusive quartiles), each pair's ratio, the median ratio, and how many
+pairs each side won. A ratio above 1 means the change is better:
+change/parent for a metric where higher is better, parent/change where
+lower is. Failed operations are recorded per run as well, and ``ab.py``'s
+printed lines under ``ab``. Every run's own values go to
+``.perfbench_out/<out stem>.runs.json``, which git ignores, so the
+committed record stays small.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ import argparse
 import io
 import json
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -46,9 +42,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# a crosscheck row: its name, padded to 44 columns, then value and unit
-_ROW = re.compile(r"(?P<name>.{44}) +(?P<value>[0-9.]+) (?P<unit>us/call|"
-                  r"M trials/s|ratio)")
 
 
 def _git(*args: str) -> bytes:
@@ -75,29 +68,14 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def layers_once(root: Path) -> dict:
-    """One ``perfbench/crosscheck.py`` run from the checkout at ``root`` and
-    one ``tools/curve_timing.py --root root`` run, as ``run_once``'s
-    metrics: {row: {"value": ..., "unit": ...}}."""
-    rows = {}
-    for cmd in ([str(root / "perfbench" / "crosscheck.py")],
-                [str(ROOT / "tools" / "curve_timing.py"), "--root",
-                 str(root)]):
-        proc = subprocess.run([sys.executable, *cmd], cwd=root,
-                              capture_output=True, text=True, check=True)
-        for line in proc.stdout.splitlines():
-            m = _ROW.match(line)
-            if m:
-                rows[m["name"].strip()] = {"value": float(m["value"]),
-                                           "unit": m["unit"]}
-    return {"metrics": rows}
-
-
-def layer_metrics(run: dict) -> list:
-    """``summarize``'s metric list for the rows of a ``layers_once`` run."""
-    return [{"name": name, "unit": row["unit"],
-             "better": "higher" if row["unit"] == "M trials/s" else "lower"}
-            for name, row in run["metrics"].items()]
+def ab_lines(parent: str, workload: str, seed: int, pairs: int) -> list:
+    """``tools/ab.py``'s printed lines, which a differing output ends, then
+    the last line of its stderr: the exception, if it failed."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "--parent", parent,
+         "--workload", workload, "--seed", str(seed), "--pairs", str(pairs)],
+        cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout.splitlines() + proc.stderr.splitlines()[-1:]
 
 
 def _quartiles(values: list) -> list:
@@ -112,13 +90,17 @@ def _g(v: float) -> float:
 
 
 def _dump(obj, depth: int = 0) -> str:
-    """obj as JSON, indented down to the metric entries, each on one line."""
-    if not isinstance(obj, dict) or "unit" in obj:
+    """obj as JSON, indented down to the metric entries and the lines of a
+    list of strings, each on one line."""
+    if isinstance(obj, dict) and "unit" not in obj:
+        items, ends = [f"{json.dumps(k)}: {_dump(v, depth + 1)}"
+                       for k, v in obj.items()], "{}"
+    elif isinstance(obj, list) and obj and isinstance(obj[0], str):
+        items, ends = [json.dumps(v) for v in obj], "[]"
+    else:
         return json.dumps(obj)
     pad = "\n" + " " * (depth + 1)
-    return ("{" + ",".join(f"{pad}{json.dumps(k)}: {_dump(v, depth + 1)}"
-                           for k, v in obj.items())
-            + "\n" + " " * depth + "}")
+    return ends[0] + ",".join(pad + i for i in items) + pad[:-1] + ends[1]
 
 
 def summarize(runs: dict, metrics: list) -> dict:
@@ -174,7 +156,7 @@ def main(argv=None) -> int:
         "parent": {"ref": args.parent, "commit": shas["parent"]},
         "change": {"ref": "HEAD", "commit": shas["change"]},
         "command": f"perfbench/run.py --seconds {args.seconds:g}, then "
-                   "perfbench/crosscheck.py and tools/curve_timing.py",
+                   "tools/ab.py",
         "pairs": args.pairs,
         "python": platform.python_version(),
         "ratio": "above 1 means the change is better (change/parent where "
@@ -185,26 +167,23 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         for seed in args.seeds:
             runs = {"parent": [], "change": []}
-            layers = {"parent": [], "change": []}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else \
                     ("change", "parent")
                 for side in order:
                     runs[side].append(run_once(roots[side], workload, seed,
                                                args.seconds))
-                    layers[side].append(layers_once(roots[side]))
                     print(f"{workload} seed {seed} pair {pair} {side}: "
                           f"{runs[side][-1]['metrics']}", flush=True)
             result = summarize(runs, spec["end_to_end"])
             result["failed_ops"] = {
                 side: [[r["failed"], r["attempted"]] for r in runs[side]]
                 for side in runs}
-            result["layers"] = summarize(layers,
-                                         layer_metrics(layers["parent"][0]))
+            result["ab"] = ab_lines(shas["parent"], workload, seed,
+                                    max(2, args.pairs))
             doc["results"].setdefault(workload, {})[str(seed)] = result
             args.out.write_text(_dump(doc) + "\n")
-            raw.setdefault(workload, {})[str(seed)] = {"runs": runs,
-                                                       "layers": layers}
+            raw.setdefault(workload, {})[str(seed)] = runs
             raw_out.write_text(json.dumps(raw) + "\n")
     return 0
 
