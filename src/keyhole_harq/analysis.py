@@ -25,15 +25,22 @@ SNRs). ``_columns`` parses its columns once for both paths, and
 ``_configs`` builds each point's ``SystemConfig`` for both. A curve of
 fewer than ``_ARRAY_THRESHOLDS`` distinct thresholds (points x distinct SNR
 columns) calls the one-point functions point by point, which is faster
-there than any array set-up. A longer curve takes the array path in
-``_array_path``, which evaluates it as float64 columns, each point bitwise
-the one-point value, nan where a value is undefined. ``outage_curve``
-decides what a nan means for both paths: it replays the first point with a
-nan exact log through ``exact_outage``, which raises the error the one-point
-calls in axis order raise first, and blanks (None) every nan or overflowing
-asymptote. This module imports numpy only to name the fault of a column it
-refuses; ``_array_path``, and with it numpy, loads on the first curve that
-takes the array path.
+there than any array set-up (about 0.2-0.4 ms; the ``tools/ab.py`` curve
+rows measure the crossover, 26 to 57 thresholds on a 2-vCPU box). A longer
+curve takes ``_curve``, which evaluates it as float64 columns by the
+``specfun`` rules for the array CDF ``specfun._log_cdf_many``, each point
+bitwise the one-point value. It marks invalid inputs with one array test
+per column, takes n_t (2^R - 1) once per rate and ln t once per threshold,
+for the CDF and the asymptote alike, and adds the distinct round columns
+through ``_per_round``. It only computes: an invalid input gets a nan
+threshold prefix, so its exact log is nan, as is that of a point where the
+one-point path raises, and ``_log_log`` is nan where a square array's
+asymptote is blank. ``outage_curve`` decides what a nan means for both
+paths: it replays the first point with a nan exact log through
+``exact_outage``, which raises the error the one-point calls in axis order
+raise first, and blanks (None) every nan or overflowing asymptote. numpy
+is imported inside the functions that use it, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from itertools import islice
 
 from .errors import DomainError, UnsupportedConfigError
 from .keyhole import SystemConfig, check_count
-from .specfun import meijer_g_log_cdf
+from .specfun import _each, _log_cdf_many, meijer_g_log_cdf
 
 __all__ = [
     "OutageProbability",
@@ -82,7 +89,9 @@ class OutageProbability:
 
 
 def _log_log(snr: float) -> float:
-    return math.log(math.log(snr))
+    """ln ln snr; nan at snr <= 1, where a square array's leading term has
+    no value."""
+    return math.log(math.log(snr)) if snr > 1.0 else math.nan
 
 
 def _gain(n_t: int, rate: float) -> float:
@@ -215,9 +224,9 @@ def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
     ``asymptotic_outage``, bitwise; ``log_asymptotic`` is None where
     ``asymptotic_outage`` raises ``DomainError``. A curve of fewer than
     ``_ARRAY_THRESHOLDS`` distinct thresholds calls the one-point functions
-    at each point in axis order; a longer one takes the array path
-    (``_array_path.curve``). Either way a curve raises what the one-point
-    calls in axis order raise first, after any error of the columns.
+    at each point in axis order; a longer one takes the array path,
+    ``_curve``. Either way a curve raises what the one-point calls in axis
+    order raise first, after any error of the columns.
     """
     n_t = check_count("n_t", n_t)
     n_r = check_count("n_r", n_r)
@@ -229,9 +238,7 @@ def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
                        map(distinct.__getitem__, index), n)
     # with the wrong SNR count every point fails, so point 0 raises first
     if n * len(distinct) >= _ARRAY_THRESHOLDS and len(index) == k_rounds:
-        from ._array_path import curve
-
-        log_exact, log_asy = curve(n_t, n_r, rates, distinct, index, n)
+        log_exact, log_asy = _curve(n_t, n_r, rates, distinct, index, n)
         nan = [*map(math.isnan, log_exact)]
         if True in nan:  # the one-point path raises the first failing point's
             first = nan.index(True)
@@ -310,6 +317,43 @@ def _log_asymptotic(config: SystemConfig) -> float:
         return _term(n_t, n_r, math.log(t), snr) if t else -math.inf
 
     return _per_round(config.snr_per_round, log_term)
+
+
+def _curve(n_t: int, n_r: int, rate, snrs: list, col: list, n: int) -> tuple:
+    """The raw exact and asymptotic logs of a curve, as two lists.
+
+    ``rate`` and the distinct round columns ``snrs`` are as ``_columns``
+    parses them, and round j is snrs[col[j]]. The exact log is nan exactly
+    where the one-point path raises. The asymptote is nan where a square
+    array's SNR is at most 1, and it is not blanked where its exp
+    overflows.
+    """
+    import numpy as np
+
+    gains = (np.full(n, _gain(n_t, rate)) if isinstance(rate, float) else
+             np.fromiter(map(partial(_gain, n_t), rate), float, n))
+    rate, *snrs = [np.full(n, c) if isinstance(c, float)
+                   else np.array(c, dtype=float) for c in (rate, *snrs)]
+    # an invalid input gets a nan gain, so its exact log is nan
+    ok = np.isfinite(rate) & (rate >= 0.0)
+    for s in snrs:
+        ok &= np.isfinite(s) & (s > 0.0)
+    gains[~ok] = math.nan
+    with np.errstate(all="ignore"):
+        # thresholds: one row per distinct round column
+        t = np.vstack([gains / s for s in snrs])
+        # ln t; -inf at 0 (rate 0, or an underflowed threshold)
+        log_t = np.full(t.shape, -math.inf)
+        pos = t > 0.0
+        log_t[pos] = _each(math.log, t[pos])
+        finite = np.isfinite(t)
+        log_cdf = np.full(t.shape, math.nan)
+        log_cdf[finite] = _log_cdf_many(n_t, n_r, t[finite], log_t[finite])
+        # 0.0 + the first row is a new array, so no row is written
+        log_exact = _per_round(col, log_cdf.__getitem__)
+        log_asy = _per_round(col, lambda d: _term(
+            n_t, n_r, log_t[d], snrs[d], partial(_each, _log_log)))
+    return log_exact.tolist(), log_asy.tolist()
 
 
 def diversity_order(config: SystemConfig) -> int:

@@ -31,11 +31,17 @@ The public functions are plain float64 arithmetic on the standard library's
   rounds to 1 or past it and the nan beyond float64 reach live in one
   one-point function, ``_log_cdf``.
 
-This module imports no numpy. A long curve takes ``_array_path``, which
-``outage_curve`` loads only then: it runs the ascending series over a
-float64 array of x and maps ``_log_cdf`` over the survival points, each
-value bitwise the one-point value here. A one-element array call costs far
-more than a one-point call, so ``meijer_g_log_cdf`` stays scalar.
+A long curve takes the array form ``_log_cdf_many`` over a float64 array
+of x: the ascending series runs on the array (``_cdf_ascending_many``), and
+the points from the switch on map ``_log_cdf``, so 1 - S(x), its fallback,
+its float64-reach decision and its guard exist once. Each value is bitwise
+the one-point value: numpy does only IEEE-exact elementwise arithmetic
+(``+ - * /``, ``abs``, comparisons) in the one-point grouping, every exp,
+log and ``**`` goes through ``math`` one element at a time (``_each``), and
+no sum is a numpy reduction: a term is added only to the points still live,
+and a point stops at the term where the one-point loop stops. numpy is
+imported inside these functions, and ``meijer_g_log_cdf`` stays scalar,
+because a one-element array call costs far more than a one-point call.
 
 The density is not integrated here: the tests check the CDF against an
 mpmath quadrature of ``gain_pdf``.
@@ -149,7 +155,8 @@ def bessel_k_scaled(order, x: float) -> float:
     """e^x K_order(x) for integer order >= 0 and x > 0.
 
     The scaled form stays O(1/sqrt(x)) for large x and is finite throughout
-    x <= 700, where the unscaled value has long since underflowed.
+    x <= 700, where the unscaled value has long since underflowed. It raises
+    ``DomainError`` where the value overflows, as at order 200 and x = 0.1.
     """
     try:
         order = operator.index(order)
@@ -160,7 +167,11 @@ def bessel_k_scaled(order, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"argument must be finite and > 0, got {x}")
-    return _orders(x, order)[order]
+    k = _orders(x, order)[order]
+    if not math.isfinite(k):
+        raise DomainError(
+            f"e^x K_{order}(x) at x = {x!r} overflows float64")
+    return k
 
 
 def _validate_shapes(n_t, n_r) -> tuple:
@@ -182,7 +193,9 @@ def gain_pdf(n_t, n_r, x: float) -> float:
     f(x) = 2 x^{(n_t+n_r)/2 - 1} K_tau(2 sqrt x) / (Gamma(n_t) Gamma(n_r))
     with tau = |n_t - n_r|. At x = 0 the density limit is returned: it is
     finite when min(n_t, n_r) = 1 and tau > 0, infinite for n_t = n_r = 1
-    (logarithmic divergence), and 0 otherwise.
+    (logarithmic divergence), and 0 otherwise. At x > 0 it raises
+    ``DomainError`` where its scaled factors multiply to inf or nan, as for
+    large tau at small x, where e^r K_tau(r) overflows.
     """
     n_t, n_r = _validate_shapes(n_t, n_r)
     x = float(x)
@@ -200,12 +213,20 @@ def gain_pdf(n_t, n_r, x: float) -> float:
         (0.5 * (n_t + n_r) - 1.0) * math.log(x) - r
         - math.lgamma(n_t) - math.lgamma(n_r)
     )
-    return 2.0 * math.exp(lg) * bessel_k_scaled(tau, r)
+    pdf = 2.0 * math.exp(lg) * _orders(r, tau)[tau]
+    if not math.isfinite(pdf):
+        raise DomainError(
+            f"gain density for shapes ({n_t}, {n_r}) at x = {x!r} is beyond "
+            "float64 reach of its scaled Bessel form")
+    return pdf
 
 
 # Term cap of the ascending series; it converges far sooner wherever the
 # branch choice sends it.
 _ASCENDING_TERMS = 400
+# From its third term on, the ascending series stops after a term below
+# _STOP times the sum so far.
+_STOP = 1e-17
 
 
 class _ShapeTable(NamedTuple):
@@ -310,12 +331,58 @@ def _cdf_ascending(n_t: int, n_r: int, x: float) -> float:
         g += term
         a = abs(term)
         mag += a
-        if k >= 2 and a < 1e-17 * abs(g):
+        if k >= 2 and a < _STOP * abs(g):
             break
         xt *= x
     if 2.0 ** -53 * mag > _CANCEL * abs(g):
         raise _cancelled("ascending", n_t, n_r, x)
     return n_r * logx + math.log(g) - tab.lg_t - tab.lg_r
+
+
+def _cdf_ascending_many(n_t: int, n_r: int, x, logx):
+    """``_cdf_ascending`` at each element of the float64 array x, with logx
+    its ln x; nan where it raises.
+
+    A term is added only to the live points, and a point stops being live
+    at the term where the scalar loop breaks, so its sum, and the sum of
+    its terms' magnitudes that the cancellation guard reads, have exactly
+    the scalar's terms.
+    """
+    import numpy as np
+
+    tab = _shape_table(n_t, n_r)
+    # one row each for the sum and its magnitudes, so one add updates both
+    acc = np.zeros((2, x.size))
+    g, mag = acc
+    fk = np.ones_like(x)
+    negx = -x
+    for h in tab.head:
+        t = h * fk
+        g += t
+        mag += np.abs(t)
+        fk = fk * negx
+    # x ** 0 is 1.0 for every float, so square shapes take no pow
+    xt = (_each(functools.partial(pow, exp=n_t - n_r), x) if n_t > n_r
+          else np.ones_like(x))
+    live = np.ones(x.shape, dtype=bool)
+    step = np.empty_like(acc)
+    term, a = step  # the term and its magnitude
+    buf = np.empty_like(x)
+    for k, (fact, bk, c) in enumerate(zip(tab.fact, tab.big_k, tab.psi)):
+        np.multiply(xt, fact, out=term)
+        np.divide(term, bk, out=term)
+        np.multiply(term, np.subtract(c, logx, out=buf), out=term)
+        np.abs(term, out=a)
+        np.add(acc, step, out=acc, where=live)
+        if k >= 2:
+            np.multiply(np.abs(g, out=buf), _STOP, out=buf)
+            live &= ~(a < buf)
+            if not np.count_nonzero(live):
+                break
+        np.multiply(xt, x, out=xt)
+    out = n_r * logx + _each(math.log, g) - tab.lg_t - tab.lg_r
+    out[2.0 ** -53 * mag > _CANCEL * np.abs(g)] = math.nan
+    return out
 
 
 # The cancellation guard (Higham, Accuracy and Stability of Numerical
@@ -406,8 +473,8 @@ def _log_cdf(n_t: int, n_r: int, x: float) -> float:
     series taken cancels past _CANCEL.
 
     x below the shape's switch takes the ascending series, x from it on
-    1 - S(x). ``meijer_g_log_cdf`` calls this, and the array path maps it
-    over a curve's survival points.
+    1 - S(x). ``meijer_g_log_cdf`` calls this, and ``_log_cdf_many`` maps
+    it over a curve's survival points.
     """
     try:
         if x < _shape_table(n_t, n_r).switch:
@@ -422,6 +489,57 @@ def _log_cdf(n_t: int, n_r: int, x: float) -> float:
         return math.log1p(-s)
     except DomainError:
         raise
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _log_cdf_many(n_t: int, n_r: int, x, logx):
+    """``meijer_g_log_cdf`` at each element of the 1-D float64 array x.
+
+    The shapes are checked integers >= 1, every x is finite and >= 0, and
+    logx holds math.log of each x > 0, so the caller that also needs ln x
+    takes it once. Each value is bitwise the one-point value; it is nan
+    exactly where ``meijer_g_log_cdf`` raises ``DomainError``.
+    """
+    import numpy as np
+
+    big, small = (n_r, n_t) if n_r > n_t else (n_t, n_r)
+    out = np.full(x.shape, -math.inf)
+    pos = x > 0.0
+    try:
+        switch = _shape_table(big, small).switch
+    except OverflowError:  # no series applies: _log_cdf gives nan at each x
+        switch = 0.0
+    with np.errstate(all="ignore"):
+        asc = np.flatnonzero(pos & (x < switch))
+        if asc.size:
+            out[asc] = _cdf_ascending_many(big, small, x[asc], logx[asc])
+        surv = np.flatnonzero(pos & (x >= switch))
+        out[surv] = _each(functools.partial(_log_cdf, big, small), x[surv])
+    return out
+
+
+def _each(fn, a):
+    """fn, a ``math`` function of one float, at each element of the float64
+    array a, one element at a time.
+
+    numpy's own exp, log, log1p and power may differ from ``math`` in the
+    last bit, so the array forms take every transcendental from here. An
+    element where fn raises gets nan.
+    """
+    import numpy as np
+
+    vals = a.ravel().tolist()
+    try:
+        out = np.fromiter(map(fn, vals), float, len(vals))
+    except (OverflowError, ValueError):
+        out = np.array([_or(fn, v) for v in vals], dtype=float)
+    return out.reshape(a.shape)
+
+
+def _or(fn, v: float) -> float:
+    try:
+        return fn(v)
     except (OverflowError, ValueError):
         return math.nan
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyhole_harq import _array_path, analysis
+from keyhole_harq import analysis, specfun
 from keyhole_harq.analysis import (
     asymptotic_outage,
     coding_gain,
@@ -386,6 +386,21 @@ class TestOutageCurve:
             _curve(32, 32, 1, points)
         _assert_same_error(32, 32, 1, points)
 
+    def test_one_guard_bound_for_both_paths(self, monkeypatch):
+        # the curve answers at the default bound; with specfun's bound set
+        # to 1e-300 after that, every point is refused, on the array path
+        # too: both paths read the one bound, whenever it was set
+        snr = [10.0 ** (0.025 * i) for i in range(160, 281)]  # 40-70 dB
+        points = [(3.0, (g,) * 3) for g in snr]
+        assert len(points) >= analysis._ARRAY_THRESHOLDS
+        # every threshold takes the ascending series
+        assert 2 * 7.0 / snr[0] < specfun._shape_table(2, 2).switch
+        assert all(math.isfinite(e) for e, _ in _curve(2, 2, 3, points))
+        monkeypatch.setattr(specfun, "_CANCEL", 1e-300)
+        with pytest.raises(DomainError, match="above 1e-300"):
+            _curve(2, 2, 3, points)
+        _assert_same_error(2, 2, 3, points)
+
     def test_shape_past_lgamma_reach(self):
         # lgamma(tau) overflows exp for tau = 199: every x > 0 is refused
         _assert_same_error(200, 1, 1, [(3.0, (10.0,))])
@@ -432,7 +447,7 @@ class TestOutageCurve:
 
         snr = [10.0 ** (0.25 * i / 10.0) for i in range(281)]
         want = [_one_point_logs(4, 4, 2, 3.0, (g, g)) for g in snr]
-        monkeypatch.setattr(_array_path, "_or", fallback)
+        monkeypatch.setattr(specfun, "_or", fallback)
         got = outage_curve(4, 4, 2, 3.0, (snr, snr))
         assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
         assert got[1][0] is None
@@ -445,7 +460,7 @@ class TestOutageCurve:
 
         snr = [10.0 ** (0.25 * i / 10.0) for i in range(281)]
         want = [_one_point_logs(3, 2, 2, 0.0, (g, g)) for g in snr]
-        monkeypatch.setattr(_array_path, "_or", fallback)
+        monkeypatch.setattr(specfun, "_or", fallback)
         got = outage_curve(3, 2, 2, 0.0, (snr, snr))
         assert [(_bits(e), _bits(a)) for e, a in zip(*got)] == want
 
@@ -453,7 +468,7 @@ class TestOutageCurve:
         # a nan of the array path that the one-point replay does not raise
         # for is an error, never a returned value; the curve is long enough
         # to take the array path
-        monkeypatch.setattr(_array_path, "_log_cdf_many",
+        monkeypatch.setattr(analysis, "_log_cdf_many",
                             lambda n_t, n_r, x, logx: x * math.nan)
         snr = [10.0 * (i + 1) for i in range(analysis._ARRAY_THRESHOLDS)]
         with pytest.raises(RuntimeError, match="curve point 0"):
@@ -509,13 +524,13 @@ class TestArrayPathDispatch:
     def _spy(monkeypatch):
         """The list of array-path calls that ``outage_curve`` makes."""
         calls = []
-        original = _array_path.curve
+        original = analysis._curve
 
         def spied(*args):
             calls.append(args[:3])
             return original(*args)
 
-        monkeypatch.setattr(_array_path, "curve", spied)
+        monkeypatch.setattr(analysis, "_curve", spied)
         return calls
 
     @pytest.mark.parametrize("n_t,n_r", [(2, 2), (8, 5), (16, 16)])

@@ -1,17 +1,17 @@
 """Static guards of the curve path's bitwise contract and of the
 numpy-free start.
 
-The array forms in ``_array_path`` give the one-point value bit for bit
-only because numpy does nothing there but IEEE-exact elementwise arithmetic
-and bookkeeping: every exp, log, log1p and power goes through ``math``, and
-no series sum uses a numpy reduction. The golden files catch a vectorised
-transcendental or a reduction only where its result differs from ``math``
-on the machine that runs them; this test reads the source and catches it on
-every platform.
+The array forms in ``specfun`` and ``analysis`` give the one-point value
+bit for bit only because numpy does nothing there but IEEE-exact
+elementwise arithmetic and bookkeeping: every exp, log, log1p and power
+goes through ``math``, and no series sum uses a numpy reduction. The golden
+files catch a vectorised transcendental or a reduction only where its
+result differs from ``math`` on the machine that runs them; this test reads
+the source and catches it on every platform.
 
-``_array_path`` is also the only module that may import numpy when it is
-imported: the others import it inside the functions that need it, so a
-process that evaluates only short curves never loads numpy.
+No module may import numpy when it is imported: each imports it inside the
+functions that need it, so a process that evaluates only short curves never
+loads numpy.
 """
 
 import ast
@@ -23,7 +23,7 @@ import keyhole_harq
 
 _SRC = Path(keyhole_harq.__file__).parent
 
-_MODULES = ["specfun.py", "analysis.py", "_array_path.py"]
+_MODULES = ["specfun.py", "analysis.py"]
 # Every numpy name these modules use: exact arithmetic, array building and
 # indexing, and predicates.
 _ALLOWED = frozenset("""
@@ -131,8 +131,7 @@ def _module_level_numpy(tree: ast.AST) -> list:
     return found
 
 
-@pytest.mark.parametrize("module", sorted(
-    p.name for p in _SRC.glob("*.py") if p.name != "_array_path.py"))
+@pytest.mark.parametrize("module", sorted(p.name for p in _SRC.glob("*.py")))
 def test_no_numpy_import_at_module_level(module):
     assert _module_level_numpy(_parse(module)) == []
 

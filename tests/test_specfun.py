@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyhole_harq import _array_path, specfun
+from keyhole_harq import specfun
 from keyhole_harq.errors import DomainError
 from keyhole_harq.specfun import (
     bessel_k_scaled,
@@ -94,6 +94,22 @@ class TestBesselK:
     def test_order_domain(self, bad_order):
         with pytest.raises(DomainError):
             bessel_k_scaled(bad_order, 1.0)
+
+    @pytest.mark.parametrize("order,x", [(200, 0.1), (400, 1.0), (171, 1e-3),
+                                         (1, 1e-310), (2, 1e-160)])
+    def test_overflow_refused(self, order, x):
+        # e^0.1 K_200(0.1) is about 3.5e632, K_1(x) about 1/x: past float64
+        with pytest.raises(DomainError, match="overflows float64"):
+            bessel_k_scaled(order, x)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 16, 100, 200, 400])
+    def test_finite_or_refused(self, order):
+        for x in (1e-310, 1e-300, 1e-8, 0.1, 1.0, 30.0, 700.0, 1e300):
+            try:
+                k = bessel_k_scaled(order, x)
+            except DomainError:
+                continue
+            assert math.isfinite(k) and k > 0.0, (order, x, k)
 
     @pytest.mark.parametrize("x", [1e-6, 0.3, 1.0, 1.999999, 2.0, 2.000001,
                                    2.5, 7.0, 30.0, 448.0])
@@ -193,6 +209,29 @@ class TestGainPdf:
         # E[X] = n_t * n_r for the product of the two Erlang factors
         got = package_pdf_integral(gain_pdf, 2, 2, 150.0, moment=1)
         assert rel_err(got, 4.0) < 1e-6
+
+    @pytest.mark.parametrize("n_t", [1, 2, 4, 8, 16, 32, 64, 100, 171])
+    def test_finite_or_refused(self, n_t):
+        # 9 x 5 shapes at 9 arguments: at 30 of these 405 points the two
+        # scaled factors, x^{(n_t+n_r)/2-1} e^{-2 sqrt x} / (Gamma(n_t)
+        # Gamma(n_r)) and e^r K_tau(r), underflow to 0 and overflow to inf
+        for n_r in (1, 2, 8, 32, 64):
+            for x in (1e-8, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
+                try:
+                    v = gain_pdf(n_t, n_r, x)
+                except DomainError:
+                    continue
+                assert math.isfinite(v) and v >= 0.0, (n_t, n_r, x, v)
+
+    @pytest.mark.parametrize("n_t,n_r,x", [(1, 64, 1e-8), (100, 1, 1e-6),
+                                           (171, 1, 1e-3)])
+    def test_overflowing_factors_refused(self, n_t, n_r, x):
+        # true densities 1/63, 0.0101 and 0.00588, out of this form's reach
+        with pytest.raises(DomainError) as got:
+            gain_pdf(n_t, n_r, x)
+        assert str(got.value) == (
+            f"gain density for shapes ({n_t}, {n_r}) at x = {x!r} is beyond "
+            "float64 reach of its scaled Bessel form")
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -340,7 +379,7 @@ class TestGainCdf:
         surv = [x for x in xs if x >= specfun._shape_table(2, 2).switch]
         assert surv == [0.5, 3.0, 112.0]
         x = np.array(xs)
-        _array_path._log_cdf_many(2, 2, x, _log_many(x))
+        specfun._log_cdf_many(2, 2, x, _log_many(x))
         assert calls == [2.0 * math.sqrt(v) for v in surv]
 
     def test_switchover_continuity(self):
@@ -463,7 +502,7 @@ class TestSwitch:
             with pytest.raises(DomainError):
                 meijer_g_log_cdf(173, 1, x)
         x = np.array(xs)
-        got = _array_path._log_cdf_many(173, 1, x, _log_many(x))
+        got = specfun._log_cdf_many(173, 1, x, _log_many(x))
         assert np.isnan(got).all()
 
 
@@ -479,7 +518,7 @@ class TestArrayLogCdf:
     @staticmethod
     def _assert_matches(n_t, n_r, xs):
         x = np.array(xs, dtype=float)
-        got = _array_path._log_cdf_many(n_t, n_r, x, _log_many(x))
+        got = specfun._log_cdf_many(n_t, n_r, x, _log_many(x))
         assert got.shape == (len(xs),)
         for x, g in zip(xs, got.tolist()):
             want = _one_point_log_cdf(n_t, n_r, x)
@@ -556,7 +595,7 @@ class TestArrayLogCdf:
 
     def test_empty(self):
         x = np.array([])
-        assert _array_path._log_cdf_many(2, 3, x, x).shape == (0,)
+        assert specfun._log_cdf_many(2, 3, x, x).shape == (0,)
 
 
 class TestCancellationGuard:
@@ -619,5 +658,4 @@ class TestCancellationGuard:
             flip = self._flip(monkeypatch, n_t, n_r, x)
             for bound in (math.nextafter(flip, 0.0), flip):
                 monkeypatch.setattr(specfun, "_CANCEL", bound)
-                monkeypatch.setattr(_array_path, "_CANCEL", bound)
                 TestArrayLogCdf._assert_matches(n_t, n_r, [x])
