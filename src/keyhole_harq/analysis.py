@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
-from .errors import DomainError, UnsupportedConfigError
-from .keyhole import SystemConfig, check_count
+from .errors import DomainError, UnsupportedConfigError, check_count
+from .keyhole import SystemConfig
 from .specfun import _each, _log_cdf_many, meijer_g_log_cdf
 
 __all__ = [
@@ -259,8 +259,9 @@ def outage_curve(n_t, n_r, k_rounds, rate, snr_per_round) -> tuple:
 
 def outage_threshold(config: SystemConfig, round_index: int) -> float:
     """Per-round gain threshold n_t (2^R - 1) / snr_k; rounds are 1-based."""
-    if not 1 <= round_index <= config.k_rounds:
-        raise ValueError(
+    round_index = check_count("round_index", round_index)
+    if round_index > config.k_rounds:
+        raise DomainError(
             f"round_index must be in 1..{config.k_rounds}, got {round_index}"
         )
     return _threshold(config.n_t, config.rate,

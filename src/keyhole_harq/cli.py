@@ -39,7 +39,7 @@ from .analysis import (
     exact_outage,
     outage_curve,
 )
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .keyhole import SystemConfig, db_to_linear
 from .montecarlo import (
     _simulate,
@@ -239,8 +239,7 @@ def _sweep(args, axis_name: str, axis: list, rate, snrs: tuple,
            axis_meta: dict) -> int:
     """A curve over ``axis`` (see ``_curve_columns``); ``axis_meta`` holds
     the mirror's axis flags in the order they are written."""
-    if args.trials < 0:
-        raise ValueError(f"trials must be >= 0, got {args.trials}")
+    check_count("trials", args.trials, least=0)
     curve = CurveResult(axis_name=axis_name,
                         columns=_curve_columns(args, axis, rate, snrs))
     meta = {

@@ -36,14 +36,13 @@ only for a curve long enough to take the array path.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from .analysis import exact_outage, outage_curve, outage_threshold
-from .errors import SimulationInfeasibleError
+from .errors import SimulationInfeasibleError, check_count
 from .keyhole import SystemConfig, db_to_linear
 
 if TYPE_CHECKING:
@@ -97,6 +96,12 @@ def sample_round_gains(
     columns of this matrix are the natural common-random-number stream for
     comparing different round budgets.
     """
+    n_t = check_count("n_t", n_t)
+    n_r = check_count("n_r", n_r)
+    rounds = check_count("rounds", rounds)
+    trials = check_count("trials", trials, least=0)  # an empty draw is an answer
+    seed = check_count("seed", seed, least=0)
+    first_trial = check_count("first_trial", first_trial, least=0)
     import numpy as np
 
     pad = _padded_draws(n_t, n_r, rounds)
@@ -187,13 +192,6 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _check_trials(trials) -> int:
-    trials = operator.index(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return trials
-
-
 def simulate_outage(
     config: SystemConfig, trials: int, seed: int = 0, lanes: int = 1
 ) -> SimulationResult:
@@ -212,13 +210,9 @@ def _simulate(configs: Sequence[SystemConfig], trials: int, seed: int,
               lanes: int) -> list:
     """``simulate_outage`` at each of ``configs`` (one n_t, n_r and K), on
     one draw of the trials, made after every point's thresholds."""
-    trials = _check_trials(trials)
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    lanes = operator.index(lanes)
-    if lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
+    trials = check_count("trials", trials)
+    seed = check_count("seed", seed, least=0)
+    lanes = check_count("lanes", lanes)
     lanes = min(lanes, trials, _usable_cores())
     rows = [tuple(outage_threshold(c, k) for k in range(1, c.k_rounds + 1))
             for c in configs]
@@ -278,7 +272,7 @@ def empirical_diversity_slope(
             if not math.isfinite(v):
                 raise ValueError("exact outage is 0 or 1 on the grid; cannot fit")
     else:
-        trials = _check_trials(trials)
+        trials = check_count("trials", trials)
         p_top = exact_outage(configs[-1]).value
         expected = trials * p_top
         if expected < _MIN_FAILURES:

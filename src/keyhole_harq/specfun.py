@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_real
 
 EULER = 0.5772156649015328606
 
@@ -111,7 +110,8 @@ def _k01_scaled(x: float) -> tuple:
         return ((s * b1 - b2 + _K0E_CHEB[0]) * rs,
                 (s * c1 - c2 + _K1E_CHEB[0]) * rs)
     u = 0.25 * x * x
-    lh = math.log(0.5 * x)
+    half = 0.5 * x  # rounds to 0 at the least subnormal
+    lh = math.log(half) if half else math.log(x) - math.log(2.0)
     i0 = 1.0          # I_0(x)
     i1s = 1.0         # I_1(x) / (x/2)
     s0 = 0.0          # sum H_k u^k / (k!)^2
@@ -158,33 +158,13 @@ def bessel_k_scaled(order, x: float) -> float:
     x <= 700, where the unscaled value has long since underflowed. It raises
     ``DomainError`` where the value overflows, as at order 200 and x = 0.1.
     """
-    try:
-        order = operator.index(order)
-    except TypeError:
-        raise DomainError(f"order must be an integer, got {order!r}") from None
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"argument must be finite and > 0, got {x}")
+    order = check_count("order", order, least=0)
+    x = check_real("x", x, positive=True)
     k = _orders(x, order)[order]
     if not math.isfinite(k):
         raise DomainError(
             f"e^x K_{order}(x) at x = {x!r} overflows float64")
     return k
-
-
-def _validate_shapes(n_t, n_r) -> tuple:
-    try:
-        n_t = operator.index(n_t)
-        n_r = operator.index(n_r)
-    except TypeError:
-        raise DomainError(
-            f"antenna counts must be integers, got {n_t!r}, {n_r!r}"
-        ) from None
-    if n_t < 1 or n_r < 1:
-        raise DomainError(f"antenna counts must be >= 1, got {n_t}, {n_r}")
-    return n_t, n_r
 
 
 def gain_pdf(n_t, n_r, x: float) -> float:
@@ -197,10 +177,9 @@ def gain_pdf(n_t, n_r, x: float) -> float:
     ``DomainError`` where its scaled factors multiply to inf or nan, as for
     large tau at small x, where e^r K_tau(r) overflows.
     """
-    n_t, n_r = _validate_shapes(n_t, n_r)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    n_t = check_count("n_t", n_t)
+    n_r = check_count("n_r", n_r)
+    x = check_real("x", x)
     tau = abs(n_t - n_r)
     if x == 0.0:
         if min(n_t, n_r) > 1:
@@ -449,10 +428,9 @@ def meijer_g_log_cdf(n_t, n_r, x: float) -> float:
     This is the log-domain carrier used by the outage product: K rounds of
     small per-round probabilities stay representable as a sum of logs.
     """
-    n_t, n_r = _validate_shapes(n_t, n_r)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and >= 0, got {x}")
+    n_t = check_count("n_t", n_t)
+    n_r = check_count("n_r", n_r)
+    x = check_real("x", x)
     if x == 0.0:
         return -math.inf
     # the distribution is symmetric in the two shapes; fixing the order

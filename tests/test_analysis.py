@@ -283,20 +283,22 @@ class TestOutageCurve:
     SHAPES = ("rate and each per-round SNR must be a float or a sequence of "
               "one common length; got shapes ")
 
-    @pytest.mark.parametrize("rate,rounds,message", [
-        ([[1.0], [2.0]], (10.0,), SHAPES + "[(2, 1)]"),
-        (3.0, (np.full((2, 1), 10.0),), SHAPES + "[(2, 1)]"),
-        (np.zeros((0, 3)), (10.0,), SHAPES + "[(0, 3)]"),
-        ([1.0, 2.0], ([10.0, 20.0, 30.0],), SHAPES + "[(2,), (3,)]"),
-        ([1.0, "abc"], (10.0,), "could not convert string to float: 'abc'"),
+    @pytest.mark.parametrize("rate,rounds,error,message", [
+        ([[1.0], [2.0]], (10.0,), ValueError, SHAPES + "[(2, 1)]"),
+        (3.0, (np.full((2, 1), 10.0),), ValueError, SHAPES + "[(2, 1)]"),
+        (np.zeros((0, 3)), (10.0,), ValueError, SHAPES + "[(0, 3)]"),
+        ([1.0, 2.0], ([10.0, 20.0, 30.0],), ValueError,
+         SHAPES + "[(2,), (3,)]"),
+        ([1.0, "abc"], (10.0,), ValueError,
+         "could not convert string to float: 'abc'"),
         # SystemConfig quotes a refused rate as given
-        ([1, -1], (10.0,), "rate must be finite and >= 0, got -1"),
+        ([1, -1], (10.0,), DomainError, "rate must be finite and >= 0, got -1"),
     ], ids=["2-d-rate", "2-d-snr", "empty-2-d-rate", "lengths-2-3", "abc",
             "int-rate"])
-    def test_refused_columns(self, rate, rounds, message):
+    def test_refused_columns(self, rate, rounds, error, message):
         with pytest.raises(ValueError) as got:
             _on_both_paths(2, 2, 1, rate, rounds)
-        assert type(got.value) is ValueError
+        assert type(got.value) is error
         assert str(got.value) == message
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -317,16 +319,19 @@ class TestOutageCurve:
                                              r"got -1\.0$"):
             _on_both_paths(2, 2, 1, [3.0, -1.0, 3.0], (10.0,))
 
-    @pytest.mark.parametrize("bad", [(-1.0, (10.0,)), (3.0, (0.0,))])
-    def test_invalid_input_wins_over_later_cdf_error(self, bad):
+    @pytest.mark.parametrize("bad,message", [
+        ((-1.0, (10.0,)), "rate must be finite and >= 0, got -1.0"),
+        ((3.0, (0.0,)), "per-round SNR must be finite and > 0, got 0.0"),
+    ])
+    def test_invalid_input_wins_over_later_cdf_error(self, bad, message):
         # at 16x16, rate 68 and 10 dB the gain CDF is beyond float64; the
         # invalid input one point earlier raises first
         points = [(3.0, (10.0,)), bad, (68.0, (10.0,))]
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="beyond float64"):
             _curve(16, 16, 1, points[2:])
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(DomainError) as got:
             _curve(16, 16, 1, points)
-        assert type(got.value) is ValueError
+        assert str(got.value) == message
         _assert_same_error(16, 16, 1, points)
 
     def test_asymptote_keeps_one_point_grouping(self):

@@ -321,7 +321,7 @@ class TestEmpiricalDiversitySlope:
         with pytest.raises(ValueError) as got:
             empirical_diversity_slope(config, [50.0, 55.0, 60.0],
                                       method="simulation", trials=trials)
-        assert type(got.value) is ValueError
+        assert type(got.value) is DomainError
         assert str(got.value) == f"trials must be >= 1, got {trials}"
 
     def test_grid_validation(self):

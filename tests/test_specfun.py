@@ -38,6 +38,7 @@ K1_AT_2 = 0.13986588181652242728        # K_1(2)
 K2_AT_1 = 1.6248388986351774828         # K_2(1)
 K1_SCALED_AT_2 = 1.0334768470686885732  # e^2 K_1(2)
 K0_SCALED_AT_100 = 0.12517562165912658  # e^100 K_0(100)
+K0_AT_MIN_SUBNORMAL = 744.55600343703967476  # K_0(5e-324), the least subnormal
 CDF_11_AT_1 = 0.72026823636695514543    # F(x=1), n_t = n_r = 1
 CDF_22_AT_1 = 0.21274872723484341956    # F(x=1), n_t = n_r = 2
 PDF_11_MASS_TO_50 = 0.99999651182759992374  # integral of the (1,1) pdf over [0, 50]
@@ -58,6 +59,8 @@ class TestBesselK:
         assert rel_err(k_unscaled(2, 1.0), K2_AT_1) < 1e-12
         assert rel_err(bessel_k_scaled(1, 2.0), K1_SCALED_AT_2) < 1e-12
         assert rel_err(bessel_k_scaled(0, 100.0), K0_SCALED_AT_100) < 1e-12
+        # 0.5 x rounds to 0 at the least subnormal (e^x = 1 there)
+        assert rel_err(bessel_k_scaled(0, 5e-324), K0_AT_MIN_SUBNORMAL) < 1e-12
 
     @pytest.mark.parametrize("order", [0, 1, 2, 5, 9, 16])
     @pytest.mark.parametrize("x", [0.5, 2.0, 7.5, 30.0])
@@ -96,7 +99,8 @@ class TestBesselK:
             bessel_k_scaled(bad_order, 1.0)
 
     @pytest.mark.parametrize("order,x", [(200, 0.1), (400, 1.0), (171, 1e-3),
-                                         (1, 1e-310), (2, 1e-160)])
+                                         (1, 1e-310), (2, 1e-160),
+                                         (1, 5e-324)])
     def test_overflow_refused(self, order, x):
         # e^0.1 K_200(0.1) is about 3.5e632, K_1(x) about 1/x: past float64
         with pytest.raises(DomainError, match="overflows float64"):
@@ -104,7 +108,8 @@ class TestBesselK:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 16, 100, 200, 400])
     def test_finite_or_refused(self, order):
-        for x in (1e-310, 1e-300, 1e-8, 0.1, 1.0, 30.0, 700.0, 1e300):
+        for x in (5e-324, 1e-310, 1e-300, 1e-8, 0.1, 1.0, 30.0, 700.0,
+                  1e300):
             try:
                 k = bessel_k_scaled(order, x)
             except DomainError:
