@@ -322,7 +322,7 @@ class TestOutageCurve:
     @pytest.mark.parametrize("bad,message", [
         ((-1.0, (10.0,)), "rate must be finite and >= 0, got -1.0"),
         ((3.0, (0.0,)), "per-round SNR must be finite and > 0, got 0.0"),
-    ])
+    ], ids=["bad0", "bad1"])
     def test_invalid_input_wins_over_later_cdf_error(self, bad, message):
         # at 16x16, rate 68 and 10 dB the gain CDF is beyond float64; the
         # invalid input one point earlier raises first
